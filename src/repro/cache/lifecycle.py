@@ -1,28 +1,26 @@
 """Disk-cache lifecycle management: inspection and garbage collection.
 
 The on-disk cache (``REPRO_CACHE_DIR``) holds two tiers side by side, each
-in either (or both) of the disk-backend layouts of
-:mod:`repro.cache.store`:
+one SQLite database of :mod:`repro.cache.sqlite_store`:
 
-* experiment entries — ``<root>/entries.sqlite`` rows and/or legacy
-  ``<root>/<fingerprint>.json`` files
-* activity entries — the same layouts under ``<root>/activity/``
+* experiment entries — rows of ``<root>/entries.sqlite``
+* activity entries — rows of ``<root>/activity/entries.sqlite``
 
 Nothing ever deletes these entries during normal operation, so long-lived
 directories grow without bound.  This module provides the shared scanning,
 size/age accounting and pruning used by the ``python -m repro.cache`` CLI
 and by the env-driven auto-GC hook in :mod:`repro.cache.store`
 (``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE_DAYS``).  Scanning is
-read-only for both layouts (a ``stats`` or ``--dry-run`` pass never
-mutates the directory — in particular it never triggers the SQLite
-backend's legacy-file migration); removal dispatches per entry, unlinking
-files and deleting database rows.
+read-only (a ``stats``, ``ls`` or ``--dry-run`` pass never mutates the
+directory, so it sees database rows only).  A mutating pass first opens
+each tier's store, which imports any legacy ``<key>.json`` files into the
+database, and then deletes rows — so a ``clear`` cannot leave legacy files
+behind for a later open to bring back.
 
 Pruning is safe to run concurrently with readers and writers: entries are
-published atomically (SQLite journaling; temp file + ``os.replace`` for
-legacy files), deletions of entries that vanished underneath us are
-ignored, and a reader that loses the race simply recomputes — the cache
-is a pure performance layer.
+published atomically (SQLite journaling), deletions of entries that
+vanished underneath us are ignored, and a reader that loses the race
+simply recomputes — the cache is a pure performance layer.
 """
 
 from __future__ import annotations
@@ -67,23 +65,17 @@ DEFAULT_COST_WEIGHTS: "Mapping[str, float]" = {"experiment": 100.0, "activity": 
 #: consulted when no explicit ``cost_weights`` mapping is passed).
 ENV_EXPERIMENT_COST = "REPRO_CACHE_EXPERIMENT_COST"
 
-#: Temp files from interrupted atomic writes older than this are removed by
-#: every prune pass, whatever the size/age limits.
-STALE_TMP_AGE_S = 3600.0
-
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One on-disk cache entry: a legacy JSON file, or one database row
-    (``backend == "sqlite"``, in which case ``path`` names the database
-    holding the row)."""
+    """One on-disk cache entry: a database row (``path`` names the tier's
+    database holding it)."""
 
     path: Path
     tier: str
     key: str
     size_bytes: int
     mtime: float
-    backend: str = "json"
 
     def age_s(self, now: float | None = None) -> float:
         return (now if now is not None else time.time()) - self.mtime
@@ -95,7 +87,6 @@ class PruneReport:
 
     examined: int = 0
     removed: list[CacheEntry] = field(default_factory=list)
-    removed_tmp: int = 0
     remaining: int = 0
     remaining_bytes: int = 0
     dry_run: bool = False
@@ -109,7 +100,6 @@ class PruneReport:
             "examined": self.examined,
             "removed": len(self.removed),
             "removed_bytes": self.removed_bytes,
-            "removed_tmp": self.removed_tmp,
             "remaining": self.remaining,
             "remaining_bytes": self.remaining_bytes,
             "dry_run": self.dry_run,
@@ -117,7 +107,7 @@ class PruneReport:
 
 
 def tier_dir(root: "str | Path", tier: str) -> Path:
-    """Directory holding one tier's entry files under a cache root."""
+    """Directory holding one tier's database under a cache root."""
     root = Path(root)
     if tier == "experiment":
         return root
@@ -129,37 +119,29 @@ def tier_dir(root: "str | Path", tier: str) -> Path:
 def _scan_tier(root: Path, tier: str) -> list[CacheEntry]:
     from repro.cache.sqlite_store import DB_FILENAME, read_entries
 
-    directory = tier_dir(root, tier)
-    if not directory.is_dir():
-        return []
-    entries = []
-    for path in directory.glob("*.json"):
+    db_path = tier_dir(root, tier) / DB_FILENAME
+    return [
+        CacheEntry(path=db_path, tier=tier, key=key, size_bytes=size_bytes, mtime=mtime)
+        for key, size_bytes, mtime in read_entries(db_path)
+    ]
+
+
+def _import_legacy_files(root: Path, tiers: Iterable[str]) -> None:
+    """Open each existing tier's store so its one-shot import of legacy
+    ``<key>.json`` files runs before a mutating pass scans the rows."""
+    from repro.cache.sqlite_store import SqliteStore
+
+    for tier in tiers:
+        directory = tier_dir(root, tier)
+        if not directory.is_dir():
+            continue
         try:
-            stat = path.stat()
+            SqliteStore(directory).close()
         except OSError:
-            continue  # deleted by a concurrent prune/clear
-        entries.append(
-            CacheEntry(
-                path=path,
-                tier=tier,
-                key=path.stem,
-                size_bytes=stat.st_size,
-                mtime=stat.st_mtime,
-            )
-        )
-    db_path = directory / DB_FILENAME
-    for key, size_bytes, mtime in read_entries(db_path):
-        entries.append(
-            CacheEntry(
-                path=db_path,
-                tier=tier,
-                key=key,
-                size_bytes=size_bytes,
-                mtime=mtime,
-                backend="sqlite",
-            )
-        )
-    return entries
+            # An unwritable tier cannot import (or delete) anything; the
+            # row removals below fail the same way and are reported as
+            # remaining entries.
+            continue
 
 
 def scan_cache_dir(
@@ -201,39 +183,16 @@ def _remove(entry: CacheEntry, report: PruneReport) -> bool:
     the entry is gone — callers must keep failed deletions in their survivor
     accounting, or the report would claim space that is still occupied."""
     if not report.dry_run:
-        if entry.backend == "sqlite":
-            from repro.cache.sqlite_store import delete_entries
+        from repro.cache.sqlite_store import delete_entries
 
-            try:
-                # 0 rows deleted means another process pruned it first; the
-                # entry is gone either way.
-                delete_entries(entry.path, [entry.key])
-            except OSError:
-                return False
-        else:
-            try:
-                entry.path.unlink()
-            except FileNotFoundError:
-                pass  # another process pruned it first; it is gone either way
-            except OSError:
-                return False
+        try:
+            # 0 rows deleted means another process pruned it first; the
+            # entry is gone either way.
+            delete_entries(entry.path, [entry.key])
+        except OSError:
+            return False
     report.removed.append(entry)
     return True
-
-
-def _sweep_stale_tmp(root: Path, now: float, report: PruneReport) -> None:
-    for directory in {tier_dir(root, tier) for tier in TIERS}:
-        if not directory.is_dir():
-            continue
-        for path in directory.glob(".*.tmp"):
-            try:
-                if now - path.stat().st_mtime < STALE_TMP_AGE_S:
-                    continue
-                if not report.dry_run:
-                    path.unlink()
-                report.removed_tmp += 1
-            except OSError:
-                continue
 
 
 def resolve_cost_weights(
@@ -290,8 +249,8 @@ def prune_cache_dir(
     until the directory fits.  With the default ~100x experiment weight, an
     hour-old activity entry is evicted before a two-day-old experiment
     entry: GC sheds the entries that are cheapest to rebuild first.
-    ``dry_run`` reports what would be deleted without touching anything.
-    Stale temp files from interrupted writes are always swept.
+    ``dry_run`` reports what would be deleted without touching anything
+    (and so sees database rows only, not yet-unimported legacy files).
     """
     if max_bytes is not None and max_bytes < 0:
         raise ExperimentError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -300,7 +259,10 @@ def prune_cache_dir(
     weights = resolve_cost_weights(cost_weights)
     root = Path(root)
     now = now if now is not None else time.time()
+    tiers = tuple(tiers)
     report = PruneReport(dry_run=dry_run)
+    if not dry_run:
+        _import_legacy_files(root, tiers)
     entries = scan_cache_dir(root, tiers=tiers)
     report.examined = len(entries)
 
@@ -334,7 +296,6 @@ def prune_cache_dir(
                 kept.append(entry)
         survivors = kept
 
-    _sweep_stale_tmp(root, now, report)
     report.remaining = len(survivors)
     report.remaining_bytes = sum(entry.size_bytes for entry in survivors)
     return report
@@ -347,12 +308,14 @@ def clear_cache_dir(
     ``max_bytes=0`` prune, this also removes zero-byte entries, which
     trivially fit any size budget)."""
     root = Path(root)
+    tiers = tuple(tiers)
     report = PruneReport(dry_run=dry_run)
+    if not dry_run:
+        _import_legacy_files(root, tiers)
     entries = scan_cache_dir(root, tiers=tiers)
     report.examined = len(entries)
     for entry in entries:
         _remove(entry, report)
-    _sweep_stale_tmp(root, time.time(), report)
     report.remaining = report.examined - len(report.removed)
     report.remaining_bytes = (
         sum(entry.size_bytes for entry in entries) - report.removed_bytes

@@ -1,19 +1,19 @@
-"""SQLite key→document store backing the disk cache tiers.
+"""SQLite key→document store: the disk tier of every cache.
 
-The original disk tier kept one JSON file per entry, published atomically
+An older disk tier kept one JSON file per entry, published atomically
 with temp-file + ``os.replace``.  That layout is safe for a handful of
 cooperating processes, but it does not survive serving-layer traffic well:
 thousands of small files cost a directory scan per GC pass, an inode per
 entry, and an fsync storm under concurrent writers.  :class:`SqliteStore`
-replaces it with a single SQLite database per tier directory:
+replaced it with a single SQLite database per tier directory:
 
 * **WAL journal mode** — readers never block the (single) writer, and
   concurrent server processes sharing one cache directory serialize their
   writes through SQLite's own file locking instead of racing on
   ``os.replace``;
 * **one row per entry** (``key, payload, mtime, size``) — the payload is
-  the same JSON document the file backend stored, so the cache classes
-  above are byte-compatible across backends;
+  the same JSON document a legacy entry file held, so old directories
+  import without conversion;
 * **crash safety** — a torn write is impossible by SQLite's journaling
   contract; a corrupt *payload* (bad JSON smuggled into a row) is treated
   as a miss and deleted by the caller, exactly like a corrupt file was.
@@ -25,14 +25,13 @@ Opening a store in a directory that still contains ``<key>.json`` files
 imports them into the database (keeping each file's mtime for GC age
 accounting) and deletes the files.  Rows already in the database win over
 legacy files of the same key — the database is newer by construction.
-Import errors on individual files are treated like the JSON backend
-treated corrupt entries: the file is dropped.
+An unreadable legacy file is skipped and left in place.
 
 Thread/process safety: one :class:`SqliteStore` holds one connection,
 guarded by a lock, and may be shared by many threads; many processes may
 each hold their own store on the same path (``busy_timeout`` absorbs
-write contention).  All errors surface as :class:`OSError` so callers
-can treat disk-backend failures uniformly across backends.
+write contention).  All errors surface as :class:`OSError`, so callers
+account every disk failure one way.
 
 Resilience
 ----------
@@ -47,7 +46,7 @@ three failure classes to three responses (see ``docs/resilience.md``):
   quarantined (renamed to ``entries.sqlite.corrupt.<pid>.<n>``) together
   with its WAL sidecars, rebuilt empty, and the operation retried once;
 * anything else — surfaced as :class:`OSError` for the cache layer's
-  backend-agnostic accounting (and possible memory-only degradation).
+  error accounting (and possible memory-only degradation).
 
 The shared ``counters`` (:class:`ResilienceStats`) make all of this
 visible in ``python -m repro.cache stats`` and the server's ``/stats``.
@@ -71,8 +70,8 @@ __all__ = ["DB_FILENAME", "SqliteStore", "read_entries", "delete_entries"]
 
 _T = TypeVar("_T")
 
-#: Database file name inside a tier directory.  The JSON backend's entry
-#: files sit next to it as ``<key>.json`` until migration consumes them.
+#: Database file name inside a tier directory.  Legacy entry files sit next
+#: to it as ``<key>.json`` until migration consumes them.
 DB_FILENAME = "entries.sqlite"
 
 _SCHEMA = """
@@ -345,7 +344,7 @@ class SqliteStore:
     # ------------------------------------------------------------ internals
 
     def _migrate_legacy_files(self) -> None:
-        """Import ``<key>.json`` files left by the file backend, then remove
+        """Import legacy one-file-per-key ``<key>.json`` entries, then remove
         them.  ``INSERT OR IGNORE`` keeps existing rows: the database entry
         for a key is always at least as new as any file left behind."""
         legacy = sorted(self.directory.glob("*.json"))

@@ -20,9 +20,6 @@ identical to a direct call here.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
-
 from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import experiment_fingerprint
 from repro.cache.store import DEFAULT_CACHE, resolve_cache
@@ -36,28 +33,6 @@ from repro.patterns.base import Pattern
 from repro.telemetry.dcgm import DcgmMonitor
 
 __all__ = ["ExperimentRunner", "run_experiment"]
-
-#: Names that moved to :mod:`repro.core` in the core/orchestration split;
-#: module ``__getattr__`` below keeps the old imports working (with a
-#: :class:`DeprecationWarning`) for one release.
-_MOVED_TO_CORE = {
-    "MIN_MEASUREMENT_DURATION_S": "MIN_MEASUREMENT_DURATION_S",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_CORE:
-        warnings.warn(
-            f"repro.experiments.harness.{name} moved to "
-            f"repro.core.{_MOVED_TO_CORE[name]}; the old location will be "
-            "removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.core as core
-
-        return getattr(core, _MOVED_TO_CORE[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ExperimentRunner:

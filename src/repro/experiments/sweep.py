@@ -8,8 +8,7 @@ models locally, so no state is shared).  ``backend="auto"`` — the default —
 resolves to a thread pool: the estimation kernels release the GIL inside
 NumPy, so threads scale without pickling configs out or results back.
 ``backend="processes"`` keeps a process pool available for GIL-holding
-workloads; its results return through shared memory
-(:mod:`repro.parallel.shm`) rather than the executor's pickle pipe.
+workloads; its results return pickled through the executor's result pipe.
 Results are bit-for-bit identical across backends at any worker count.
 
 The runner is cache- and duplicate-aware: every configuration is
@@ -412,7 +411,7 @@ def run_configs(
             _consume(executor.map(worker, pending_configs), span=executor.chunk_span)
         except BaseException:
             # Don't let queued sweep points keep computing (or leak worker
-            # processes / shared-memory segments) after one point failed.
+            # processes) after one point failed.
             executor.shutdown(cancel=True)
             raise
         # Surface what the executor had to absorb (process-pool rebuilds,

@@ -224,15 +224,8 @@ CATALOGUE: "dict[str, dict[str, Callable[[], Optional[BaseException]]]]" = {
             "database disk image is malformed"
         ),
         "full": lambda: _oserror(errno.ENOSPC),
-        "error": lambda: InjectedFaultError("injected cache.sqlite.write fault"),
-    },
-    "cache.json.read": {
-        "error": lambda: _oserror(errno.EIO),
-    },
-    "cache.json.write": {
-        "enospc": lambda: _oserror(errno.ENOSPC),
         "readonly": lambda: _oserror(errno.EROFS),
-        "error": lambda: _oserror(errno.EIO),
+        "error": lambda: InjectedFaultError("injected cache.sqlite.write fault"),
     },
     "pool.worker": {
         "kill": _worker_kill,

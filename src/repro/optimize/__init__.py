@@ -13,8 +13,6 @@ working versions of each:
 * :mod:`repro.optimize.compiler` — a small power-aware "compiler" that
   estimates pipeline power from pattern descriptors and applies
   semantics-preserving transforms.
-* :mod:`repro.optimize.scheduler` — power-aware placement of GEMM jobs
-  across a fleet of GPUs under a total power budget.
 * :mod:`repro.optimize.engines` — stateful optimization engines
   (Nelder–Mead, bisection, random/grid-refine) and the
   :class:`~repro.optimize.engines.OptimizationRunner` that drives them
@@ -49,7 +47,6 @@ from repro.optimize.permutation import (
     restore_columns,
 )
 from repro.optimize.power_capping import CapPlan, find_sparsity_for_cap
-from repro.optimize.scheduler import FleetScheduler, GemmJob, ScheduledJob
 from repro.optimize.sparsity_design import SparsityDesign, design_sparsity
 from repro.optimize.weight_shift import WeightShiftResult, shift_weights_for_power
 
@@ -86,7 +83,4 @@ __all__ = [
     "GemmOp",
     "Pipeline",
     "PowerAwareCompiler",
-    "GemmJob",
-    "ScheduledJob",
-    "FleetScheduler",
 ]

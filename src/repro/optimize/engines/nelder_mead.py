@@ -12,13 +12,19 @@ projected onto the bound — once every vertex shares a hard-clipped
 coordinate exactly, centroid, reflection and shrink all stay inside that
 face forever and the simplex is stuck one dimension short.  Instead it
 is damped to the midpoint between the violated bound and the move's
-interior anchor (the centroid, or the best vertex for shrink steps):
-candidates stay strictly interior whenever the anchor is, while a
-boundary optimum is still approached geometrically.  The initial
-simplex is derived from
-``seed`` alone, so a fixed seed pins the entire trajectory; all state is
-JSON-scalar (Python floats round-trip exactly through ``json``), so a
-checkpointed engine resumes bit for bit.
+interior anchor (the centroid, or the best vertex for shrink steps).
+Moves can still land exactly *on* a bound — expanding from a damped
+reflection, ``c + 2·(r − c)`` with ``r`` halfway from ``c`` to the bound,
+does — and that is how a boundary optimum is reached.  But a second
+vertex on the same face would put the centroid of a 2-D simplex on it
+for good, so an on-bound coordinate is damped as well whenever a kept
+vertex already lies on that bound: at most one vertex sits on any face,
+and the centroid stays interior.  "On a bound" allows for rounding, since
+a move that lands on the bound in exact arithmetic can end one ulp inside.
+
+The initial simplex is derived from ``seed`` alone, so a fixed seed pins
+the entire trajectory; all state is JSON-scalar (Python floats round-trip
+exactly through ``json``), so a checkpointed engine resumes bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ _RHO = 0.5     # contraction
 _SIGMA = 0.5   # shrink
 
 _PHASES = ("init", "reflect", "expand", "contract", "shrink", "done")
+
+#: Coordinates within this fraction of a dimension's span of a bound count
+#: as lying on it.
+_FACE_RTOL = 1e-9
 
 
 @register_engine("nelder_mead")
@@ -114,13 +124,22 @@ class NelderMeadEngine(OptimizationEngine):
         Hard projection onto a face can leave every vertex with the same
         clipped coordinate, collapsing the simplex into the face for
         good; the midpoint between the anchor and the violated bound
-        stays strictly interior whenever the anchor is.
+        stays strictly interior whenever the anchor is.  A coordinate
+        exactly on a bound that a kept vertex (any but the worst, which
+        the candidate replaces) already occupies is damped the same way.
         """
         out = np.array(vector, dtype=np.float64)
+        kept = np.array(self._simplex[:-1], dtype=np.float64)
         for index, dim in enumerate(self.space.dimensions):
-            if out[index] < dim.low:
+            low_face = dim.low + _FACE_RTOL * dim.span
+            high_face = dim.high - _FACE_RTOL * dim.span
+            if out[index] < dim.low or (
+                out[index] <= low_face and np.any(kept[:, index] <= low_face)
+            ):
                 out[index] = 0.5 * (float(anchor[index]) + dim.low)
-            elif out[index] > dim.high:
+            elif out[index] > dim.high or (
+                out[index] >= high_face and np.any(kept[:, index] >= high_face)
+            ):
                 out[index] = 0.5 * (float(anchor[index]) + dim.high)
         return self.space.vector(self.space.point(out))
 

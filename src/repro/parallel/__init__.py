@@ -5,18 +5,16 @@ This package is the single place sweep/figure parallelism goes through:
 * :mod:`repro.parallel.backends` — the ``Executor`` protocol and the
   ``serial`` / ``threads`` / ``processes`` backends, plus the ``auto``
   per-workload selection the sweep runner uses.
-* :mod:`repro.parallel.shm` — shared-memory result transfer for the
-  process backend (with a transparent pickle fallback).
 * :mod:`repro.parallel.calibrate` — the measured chunk-budget probe that
   replaces the engine's historical hard-coded 1 MiB working-set constant
   (``REPRO_BATCH_CHUNK_BUDGET`` overrides, ``$REPRO_CACHE_DIR`` persists).
 
 See ``docs/parallel.md`` for the full subsystem guide (backend selection,
-the ``Executor`` contract, worker persistence and the shared-memory result
-path); the one-line version is: the default ``auto`` resolves to
-``threads`` for the built-in estimation workloads (their NumPy kernels
-release the GIL) and ``serial`` for ``workers=1``, while ``processes``
-remains available for GIL-holding pattern generators.  Results are
+the ``Executor`` contract and worker persistence); the one-line version
+is: the default ``auto`` resolves to ``threads`` for the built-in
+estimation workloads (their NumPy kernels release the GIL) and ``serial``
+for ``workers=1``, while ``processes`` remains available for GIL-holding
+pattern generators.  Results are
 bit-for-bit identical across backends at any worker count.
 """
 

@@ -18,14 +18,13 @@ Three backends run the embarrassingly parallel part of a sweep:
 
 ``processes``
     A :class:`~concurrent.futures.ProcessPoolExecutor`, kept for workloads
-    that hold the GIL (e.g. Python-loop-heavy pattern generators).  Results
-    return through :mod:`multiprocessing.shared_memory` segments instead of
-    the executor's pickle pipe (with a transparent pickle fallback), and
-    work is submitted in chunks to amortize process start-up.
+    that hold the GIL (e.g. Python-loop-heavy pattern generators).  Work is
+    submitted in chunks to amortize process start-up, and each chunk's
+    results return pickled through the executor's result pipe.
 
 Every backend yields results in submission order and propagates the first
 failure; ``shutdown(cancel=True)`` stops queued work and releases backend
-resources (including unconsumed shared-memory segments).
+resources.
 
 The process backend additionally survives *pool breakage* (a worker dying
 mid-chunk — OOM kill, segfault, interpreter abort): it rebuilds the pool
@@ -48,8 +47,7 @@ things:
    submission, the chunk size for chunked pools).
 3. **Shutdown** — ``shutdown()`` releases every backend resource;
    ``shutdown(cancel=True)`` additionally drops queued work.  Calling it
-   with an unconsumed result iterator must not leak resources (the
-   process backend frees published-but-unconsumed shared-memory segments).
+   with an unconsumed result iterator must not leak resources.
 4. **Worker persistence** — pool workers live for the executor's whole
    lifetime: one thread/process serves many items (and, for the process
    pool, many *chunks*).  Per-worker state installed by the ``initializer``
@@ -72,7 +70,6 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ExperimentError
 from repro.faults import fault_point
-from repro.parallel import shm
 
 __all__ = [
     "BACKENDS",
@@ -206,26 +203,19 @@ def _worker_init(
         user_initializer(*user_initargs)
 
 
-def _run_chunk(
-    fn: "Callable[[Any], Any]",
-    encode: "Callable[[Sequence[Any]], bytes]",
-    items: "Sequence[Any]",
-) -> "shm.ShmHandle | shm.InlineChunk":
-    """Worker-side entry point: run one chunk, publish its results."""
+def _run_chunk(fn: "Callable[[Any], Any]", items: "Sequence[Any]") -> "list[Any]":
+    """Worker-side entry point: run one chunk, return its results."""
     fault_point("pool.worker")
-    return shm.share_chunk([fn(item) for item in items], encode)
+    return [fn(item) for item in items]
 
 
 class ProcessExecutor(Executor):
-    """Process pool with shared-memory result transfer.
+    """Chunked process pool.
 
     Work is submitted in chunks of ``chunksize`` items; each worker runs its
-    chunk, serializes the results once (the JSON representation the disk
-    cache round-trips bit for bit) into a fresh shared-memory segment and
-    returns only the segment's name.  The parent decodes and unlinks each
-    segment as it consumes the result stream.  ``transfer`` selects the
-    return path: ``"shm"``, ``"pickle"``, or ``"auto"`` (shm when the
-    platform supports it and ``REPRO_SHM`` does not disable it).
+    chunk and returns the results through the executor's pickle pipe
+    (pickle round-trips floats exactly, so values stay bit-for-bit equal
+    to the serial backend's).
 
     Workers are persistent: :class:`~concurrent.futures.ProcessPoolExecutor`
     never recycles a worker process, so each one serves chunk after chunk
@@ -251,9 +241,6 @@ class ProcessExecutor(Executor):
         self,
         workers: int,
         chunksize: int = 1,
-        transfer: str = "auto",
-        encode: "Callable[[Sequence[Any]], bytes]" = shm.encode_experiment_results,
-        decode: "Callable[[bytes], list[Any]]" = shm.decode_experiment_results,
         initializer: "Callable[..., None] | None" = None,
         initargs: tuple = (),
     ) -> None:
@@ -261,19 +248,12 @@ class ProcessExecutor(Executor):
             raise ExperimentError(f"workers must be >= 1, got {workers}")
         if chunksize < 1:
             raise ExperimentError(f"chunksize must be >= 1, got {chunksize}")
-        if transfer not in ("auto", "shm", "pickle"):
-            raise ExperimentError(
-                f"transfer must be 'auto', 'shm' or 'pickle', got {transfer!r}"
-            )
         self.chunksize = chunksize
         self.chunk_span = chunksize
         self.resilience = ExecutorResilience()
         self._workers = workers
         self._initializer = initializer
         self._initargs = initargs
-        self._encode = encode
-        self._decode = decode
-        self._use_shm = transfer == "shm" or (transfer == "auto" and shm.shm_available())
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
@@ -281,7 +261,6 @@ class ProcessExecutor(Executor):
         )
         self._fallback_pool: "ThreadPoolExecutor | None" = None
         self._futures: "list[Future]" = []
-        self._consumed = 0
         self._fn: "Callable[[Any], Any] | None" = None
         self._chunks: "list[list[Any]]" = []
 
@@ -298,15 +277,14 @@ class ProcessExecutor(Executor):
             index = 0
             while index < len(self._futures):
                 try:
-                    handle = self._futures[index].result()
+                    results = self._futures[index].result()
                 except BrokenProcessPool:
                     self._recover(index)
                     if self.resilience.fallback_backend:
                         yield from self._fallback_results(index)
                         return
                     continue  # retry this chunk's future on the rebuilt pool
-                self._consumed = index + 1
-                yield from shm.receive_chunk(handle, self._decode)
+                yield from results
                 index += 1
 
         return _results()
@@ -315,32 +293,23 @@ class ProcessExecutor(Executor):
         self._pool.shutdown(wait=True, cancel_futures=cancel)
         if self._fallback_pool is not None:
             self._fallback_pool.shutdown(wait=True, cancel_futures=cancel)
-        # Any chunk that completed without being consumed still owns a
-        # shared-memory segment nobody will decode; free them whether this
-        # is a cancellation (sweep failure) or a clean exit with the result
-        # iterator abandoned early, so neither path can leak /dev/shm
-        # space.  (Cancelled or failed futures never created a segment: the
-        # worker either published or raised.)
-        self._discard_unconsumed()
         self._futures = []
-        self._consumed = 0
 
     # ----------------------------------------------------------- resilience
 
     def _submit(self, chunks: "list[list[Any]]") -> "list[Future]":
-        if self._use_shm:
-            return [
-                self._pool.submit(_run_chunk, self._fn, self._encode, chunk)
-                for chunk in chunks
-            ]
-        return [
-            self._pool.submit(_run_pickled_chunk, self._fn, chunk) for chunk in chunks
-        ]
-
-    def _discard_unconsumed(self) -> None:
-        for future in self._futures[self._consumed :]:
-            if future.done() and not future.cancelled() and future.exception() is None:
-                shm.discard_chunk(future.result())
+        futures: "list[Future]" = []
+        for chunk in chunks:
+            try:
+                futures.append(self._pool.submit(_run_chunk, self._fn, chunk))
+            except BrokenProcessPool as exc:
+                # A worker died while chunks were still being queued: fail
+                # the chunk's future instead, so the consumer recovers
+                # through _recover like any breakage seen on a result.
+                failed: Future = Future()
+                failed.set_exception(exc)
+                futures.append(failed)
+        return futures
 
     def _recover(self, index: int) -> None:
         """React to pool breakage observed at chunk ``index``.
@@ -352,9 +321,6 @@ class ProcessExecutor(Executor):
         down without waiting — its workers are already gone.
         """
         remaining = self._chunks[index:]
-        # Chunks that published a segment before the pool broke would leak
-        # it once resubmission recomputes them; free those segments first.
-        self._discard_unconsumed()
         self._pool.shutdown(wait=False, cancel_futures=True)
         self.resilience.chunks_resubmitted += len(remaining)
         if not self.resilience.pool_rebuilds:
@@ -380,17 +346,8 @@ class ProcessExecutor(Executor):
             max_workers=self._workers, thread_name_prefix="repro-sweep-fallback"
         )
         futures = [self._fallback_pool.submit(self._fn, item) for item in items]
-        # The old futures all failed with BrokenProcessPool and own no
-        # segments; mark them consumed so shutdown() skips them.
-        self._consumed = len(self._futures)
         for future in futures:
             yield future.result()
-
-
-def _run_pickled_chunk(fn: "Callable[[Any], Any]", items: "Sequence[Any]") -> "shm.InlineChunk":
-    """Worker-side entry point for the forced-pickle transfer mode."""
-    fault_point("pool.worker")
-    return shm.InlineChunk(values=tuple(fn(item) for item in items))
 
 
 def choose_backend(workload: str = "estimation") -> str:
@@ -441,7 +398,6 @@ def get_executor(
     backend: str,
     workers: int = 1,
     chunksize: int = 1,
-    transfer: str = "auto",
     initializer: "Callable[..., None] | None" = None,
     initargs: tuple = (),
 ) -> Executor:
@@ -459,7 +415,6 @@ def get_executor(
         return ProcessExecutor(
             workers,
             chunksize=chunksize,
-            transfer=transfer,
             initializer=initializer,
             initargs=initargs,
         )

@@ -20,7 +20,9 @@ from repro.cache.lifecycle import (
     parse_size,
     prune_cache_dir,
     scan_cache_dir,
+    tier_dir,
 )
+from repro.cache.sqlite_store import DB_FILENAME, SqliteStore
 from repro.cache.store import (
     ActivityCache,
     ExperimentCache,
@@ -55,10 +57,16 @@ def _make_report(value: float = 0.5) -> ActivityReport:
     )
 
 
-def _hammer_puts(args: tuple[str, int, int, str]) -> int:
+def _put_row(directory, key: str, payload: str, mtime: float) -> None:
+    """Write one database row with a chosen mtime (GC age accounting)."""
+    with SqliteStore(directory) as store:
+        store.put(key, payload, mtime=mtime)
+
+
+def _hammer_puts(args: tuple[str, int, int]) -> int:
     """Worker for the concurrency test: interleaved puts on shared keys."""
-    directory, worker_id, rounds, backend = args
-    cache = ActivityCache(disk_dir=directory, disk_backend=backend)
+    directory, worker_id, rounds = args
+    cache = ActivityCache(disk_dir=directory)
     for index in range(rounds):
         cache.put(f"key{index % 8}", _make_report(0.25 + worker_id * 0.1 + index * 1e-6))
     return cache.stats.disk_errors
@@ -270,33 +278,24 @@ class TestAtomicDiskWrites:
         assert not path.exists()
 
     def test_truncated_entry_recovers_after_next_put(self, tmp_path):
-        # Exercises the legacy file layout's torn-write recovery; the SQLite
-        # backend cannot tear by its journaling contract.
-        cache = ActivityCache(disk_dir=tmp_path, disk_backend="json")
+        # SQLite cannot tear a row by its journaling contract, so plant a
+        # truncated payload directly (a non-atomic writer's torn entry).
+        cache = ActivityCache(disk_dir=tmp_path)
         report = _make_report()
         cache.put("k", report)
-        (tmp_path / "k.json").write_text(
-            (tmp_path / "k.json").read_text()[:20]
-        )  # simulate torn write from a non-atomic writer
-        reader = ActivityCache(disk_dir=tmp_path, disk_backend="json")
+        with SqliteStore(tmp_path) as store:
+            store.put("k", store.get("k")[:20])
+        reader = ActivityCache(disk_dir=tmp_path)
         assert reader.get("k") is None
         cache.put("k", report)  # writer re-publishes
-        assert ActivityCache(disk_dir=tmp_path, disk_backend="json").get("k") == report
+        assert ActivityCache(disk_dir=tmp_path).get("k") == report
 
-    def test_no_temp_files_left_behind(self, tmp_path):
-        cache = ActivityCache(disk_dir=tmp_path, disk_backend="json")
-        for index in range(5):
-            cache.put(f"k{index}", _make_report())
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert len(list(tmp_path.glob("*.json"))) == 5
-
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_concurrent_puts_leave_readable_store(self, tmp_path, backend):
-        jobs = [(str(tmp_path), worker, 60, backend) for worker in range(3)]
+    def test_concurrent_puts_leave_readable_store(self, tmp_path):
+        jobs = [(str(tmp_path), worker, 60) for worker in range(3)]
         with ProcessPoolExecutor(max_workers=3) as pool:
             disk_errors = list(pool.map(_hammer_puts, jobs))
         assert disk_errors == [0, 0, 0]
-        reader = ActivityCache(disk_dir=tmp_path, disk_backend=backend)
+        reader = ActivityCache(disk_dir=tmp_path)
         keys = sorted(entry.key for entry in scan_cache_dir(tmp_path))
         assert keys == [f"key{index}" for index in range(8)]
         for key in keys:
@@ -306,16 +305,11 @@ class TestAtomicDiskWrites:
 
 class TestGarbageCollection:
     def _populate(self, root, count=4, tier="experiment", size=100, start_age=0):
-        from repro.cache.lifecycle import tier_dir
-
         directory = tier_dir(root, tier)
-        directory.mkdir(parents=True, exist_ok=True)
         now = 1_000_000_000
         for index in range(count):
-            path = directory / f"entry{index}.json"
-            path.write_text(json.dumps({"pad": "x" * size}))
             age = start_age + (count - index) * 3600  # entry0 oldest
-            os.utime(path, (now - age, now - age))
+            _put_row(directory, f"entry{index}", json.dumps({"pad": "x" * size}), now - age)
         return now
 
     def test_scan_and_stats(self, tmp_path):
@@ -365,7 +359,7 @@ class TestGarbageCollection:
 
     def test_clear_removes_zero_byte_entries(self, tmp_path):
         self._populate(tmp_path, count=2)
-        (tmp_path / "empty.json").write_text("")  # fits any size budget
+        _put_row(tmp_path, "empty", "", 1_000_000_000)  # fits any size budget
         report = clear_cache_dir(tmp_path)
         assert len(report.removed) == 3
         assert report.remaining == 0
@@ -379,17 +373,53 @@ class TestGarbageCollection:
         assert {entry.tier for entry in remaining} == {"experiment"}
         assert len(remaining) == 2
 
-    def test_stale_tmp_files_swept(self, tmp_path):
-        now = self._populate(tmp_path, count=1)
-        stale = tmp_path / ".orphan.json.123.tmp"
-        stale.write_text("partial")
-        os.utime(stale, (now - 7200, now - 7200))
-        fresh = tmp_path / ".inflight.json.456.tmp"
-        fresh.write_text("partial")
-        os.utime(fresh, (now - 10, now - 10))
-        report = prune_cache_dir(tmp_path, max_age_s=999_999, now=now)
-        assert report.removed_tmp == 1
-        assert not stale.exists() and fresh.exists()
+    def test_clear_imports_legacy_files_first(self, tmp_path):
+        # A directory holding only legacy <key>.json files: clear must not
+        # leave them behind for a later open to import and serve.
+        (tmp_path / "activity").mkdir()
+        for directory in (tmp_path, tmp_path / "activity"):
+            (directory / "legacy.json").write_text(json.dumps({"pad": "x"}))
+        report = clear_cache_dir(tmp_path)
+        assert len(report.removed) == 2
+        assert report.remaining == 0
+        assert list(tmp_path.rglob("*.json")) == []
+        assert ExperimentCache(disk_dir=tmp_path).get("legacy") is None
+        assert scan_cache_dir(tmp_path) == []
+
+    def test_prune_imports_legacy_files_first(self, tmp_path):
+        # Imported files keep their mtime, so the age limit sees the
+        # legacy entries' real ages and the young one survives as a row.
+        now = 1_000_000_000
+        for key, age in (("old", 7200), ("young", 60)):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({"pad": key}))
+            os.utime(path, (now - age, now - age))
+        report = prune_cache_dir(tmp_path, max_age_s=3600, now=now)
+        assert [entry.key for entry in report.removed] == ["old"]
+        assert report.remaining == 1
+        assert list(tmp_path.glob("*.json")) == []
+        assert [entry.key for entry in scan_cache_dir(tmp_path)] == ["young"]
+
+    def test_clear_of_one_tier_imports_only_that_tier(self, tmp_path):
+        (tmp_path / "activity").mkdir()
+        (tmp_path / "kept.json").write_text(json.dumps({"pad": "x"}))
+        (tmp_path / "activity" / "gone.json").write_text(json.dumps({"pad": "x"}))
+        report = clear_cache_dir(tmp_path, tiers=["activity"])
+        assert [entry.key for entry in report.removed] == ["gone"]
+        assert list((tmp_path / "activity").glob("*.json")) == []
+        # The experiment tier was not touched: its legacy file is still a
+        # file, imported only when that tier is next opened.
+        assert (tmp_path / "kept.json").exists()
+        assert not (tmp_path / DB_FILENAME).exists()
+
+    def test_read_only_passes_do_not_import(self, tmp_path):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text("{}")
+        assert scan_cache_dir(tmp_path) == []
+        assert cache_dir_stats(tmp_path)["entries"] == 0
+        report = prune_cache_dir(tmp_path, max_bytes=0, dry_run=True)
+        assert report.examined == 0
+        assert legacy.exists()
 
     def test_parse_and_format_size(self):
         assert parse_size("1024") == 1024
@@ -402,23 +432,23 @@ class TestGarbageCollection:
         assert format_size(512) == "512 B"
         assert format_size(1536) == "1.5 KiB"
 
-    def test_failed_unlink_stays_in_accounting(self, tmp_path, monkeypatch):
-        from pathlib import Path
+    def test_failed_delete_stays_in_accounting(self, tmp_path, monkeypatch):
+        import repro.cache.sqlite_store as sqlite_store
 
         now = self._populate(tmp_path, count=3, size=100)
-        original_unlink = Path.unlink
+        original_delete = sqlite_store.delete_entries
 
-        def stubborn_unlink(self, *args, **kwargs):
-            if self.name == "entry0.json":  # oldest entry refuses to die
-                raise PermissionError(13, "denied")
-            return original_unlink(self, *args, **kwargs)
+        def stubborn_delete(db_path, keys):
+            if "entry0" in keys:  # oldest entry refuses to die
+                raise OSError(13, "denied")
+            return original_delete(db_path, keys)
 
-        monkeypatch.setattr(Path, "unlink", stubborn_unlink)
+        monkeypatch.setattr(sqlite_store, "delete_entries", stubborn_delete)
         report = prune_cache_dir(tmp_path, max_bytes=0, now=now)
         assert {entry.key for entry in report.removed} == {"entry1", "entry2"}
         assert report.remaining == 1
-        assert report.remaining_bytes > 0  # the undeletable file still counts
-        assert (tmp_path / "entry0.json").exists()
+        assert report.remaining_bytes > 0  # the undeletable row still counts
+        assert [entry.key for entry in scan_cache_dir(tmp_path)] == ["entry0"]
 
     def test_invalid_limits_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
@@ -466,6 +496,26 @@ class TestCacheCli:
         assert cache_cli(["prune", "--dir", str(tmp_path), "--max-bytes", "0"]) == 0
         capsys.readouterr()
         assert scan_cache_dir(tmp_path) == []
+
+    def test_read_only_commands_leave_legacy_files(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"pad": "x"}))
+        assert cache_cli(["stats", "--dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 0
+        assert cache_cli(["ls", "--dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        assert legacy.exists()
+        assert not (tmp_path / DB_FILENAME).exists()
+
+    def test_clear_command_leaves_nothing_to_import(self, tmp_path, capsys):
+        (tmp_path / "activity").mkdir()
+        for directory in (tmp_path, tmp_path / "activity"):
+            (directory / "legacy.json").write_text(json.dumps({"pad": "x"}))
+        assert cache_cli(["clear", "--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.rglob("*.json")) == []
+        assert ExperimentCache(disk_dir=tmp_path).get("legacy") is None
+        assert ActivityCache(disk_dir=tmp_path / "activity").get("legacy") is None
 
     def test_requires_directory(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -604,15 +654,10 @@ class TestCostWeightedPrune:
     unless age differences overwhelm the weight ratio."""
 
     def _two_tier_dir(self, tmp_path, experiment_age_s, activity_age_s, size=100):
-        from repro.cache.lifecycle import tier_dir
-
         now = 1_000_000_000
         for tier, age in (("experiment", experiment_age_s), ("activity", activity_age_s)):
-            directory = tier_dir(tmp_path, tier)
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"{tier}0.json"
-            path.write_text(json.dumps({"pad": "x" * size}))
-            os.utime(path, (now - age, now - age))
+            payload = json.dumps({"pad": "x" * size})
+            _put_row(tier_dir(tmp_path, tier), f"{tier}0", payload, now - age)
         return now
 
     def test_older_experiment_outlives_newer_activity(self, tmp_path):

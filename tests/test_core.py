@@ -3,13 +3,10 @@
 The core/orchestration split only works if every layer above the pipeline
 — the runner, the cached one-shot entry point, the sweep machinery and the
 serving layer — produces bit-for-bit the pipeline's own output.  These
-tests pin that equivalence plus the deprecation shim for the old harness
-location of the moved constant.
+tests pin that equivalence.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -69,17 +66,6 @@ class TestPipelineEquivalence:
 class TestMinimumDuration:
     def test_constant_is_exported_from_core(self):
         assert MIN_MEASUREMENT_DURATION_S == pytest.approx(3.0)
-
-    def test_harness_shim_warns_but_works(self):
-        import repro.experiments.harness as harness
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = harness.MIN_MEASUREMENT_DURATION_S
-        assert value == MIN_MEASUREMENT_DURATION_S
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "repro.core" in str(caught[0].message)
 
     def test_harness_unknown_attribute_still_raises(self):
         import repro.experiments.harness as harness

@@ -16,7 +16,7 @@ production path.  In-process tests install schedules directly.
 from __future__ import annotations
 
 import asyncio
-import json
+import errno
 import os
 import time
 
@@ -25,7 +25,7 @@ import pytest
 import repro.faults as faults
 from repro.cache.resilience import ResilienceStats, RetryPolicy
 from repro.cache.sqlite_store import DB_FILENAME, SqliteStore
-from repro.cache.store import ExperimentCache, JsonDiskCache
+from repro.cache.store import ActivityCache, ExperimentCache, JsonDiskCache
 from repro.errors import (
     FaultInjectionError,
     InjectedFaultError,
@@ -73,14 +73,6 @@ AMBIENT_SEED = int(os.environ.get("REPRO_FAULTS_SEED", "0") or "0")
 # Top-level helpers for the process-pool tests (must be picklable).
 def _double(x):
     return x * 2
-
-
-def _encode_json(values):
-    return json.dumps(list(values)).encode()
-
-
-def _decode_json(payload):
-    return json.loads(payload)
 
 
 class _StrCache(JsonDiskCache):
@@ -149,6 +141,18 @@ class TestSpecParsing:
         schedule = FaultSchedule(parse_schedule("cache.sqlite.read:nosuchmode"))
         with pytest.raises(FaultInjectionError, match="nosuchmode"):
             schedule.hit("cache.sqlite.read")
+
+    @pytest.mark.parametrize("point", ["cache.sqlite.open", "cache.sqlite.read"])
+    def test_readonly_mode_belongs_to_sqlite_write(self, point):
+        # EROFS surfaces on the write that hits the read-only filesystem,
+        # so only the write point carries the mode.
+        schedule = FaultSchedule(parse_schedule(f"{point}:readonly"))
+        with pytest.raises(FaultInjectionError, match="readonly"):
+            schedule.hit(point)
+        write = FaultSchedule(parse_schedule("cache.sqlite.write:readonly"))
+        with pytest.raises(OSError) as excinfo:
+            write.hit("cache.sqlite.write")
+        assert excinfo.value.errno == errno.EROFS
 
 
 # ------------------------------------------------------------------- replay
@@ -275,7 +279,7 @@ class TestSqliteResilience:
 class TestMemoryOnlyDegradation:
     def test_sqlite_enospc_degrades_sticky_and_correct(self, tmp_path):
         _install("cache.sqlite.write:full@1")
-        cache = _StrCache(disk_dir=tmp_path, disk_backend="sqlite")
+        cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
         assert cache.resilience.degraded
         assert cache.resilience.degraded_reason.startswith("memory-only:")
@@ -286,18 +290,42 @@ class TestMemoryOnlyDegradation:
         cache.resilience.degrade("a different reason")
         assert cache.resilience.degraded_reason == first_reason  # sticky
 
-    def test_json_backend_degrades_on_readonly_fs(self, tmp_path):
-        _install("cache.json.write:readonly@1")
-        cache = _StrCache(disk_dir=tmp_path, disk_backend="json")
+    def test_sqlite_degrades_on_readonly_fs(self, tmp_path):
+        _install("cache.sqlite.write:readonly@1")
+        cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
         assert cache.resilience.degraded
+        assert cache.resilience.degraded_reason.startswith("memory-only:")
         assert cache.get("k") == "v"
 
-    def test_per_entry_read_error_does_not_degrade(self, tmp_path):
-        cache = _StrCache(disk_dir=tmp_path, disk_backend="json")
+    @pytest.mark.parametrize("tier", ["experiment", "activity"])
+    def test_readonly_fs_degrades_real_tiers(self, quiet_config, tmp_path, tier):
+        config = quiet_config(matrix_size=32)
+        memory = ActivityCache()
+        result = run_experiment(config, cache=None, activity_cache=memory)
+        if tier == "experiment":
+            cache, key, value = ExperimentCache(disk_dir=tmp_path), "k", result
+        else:
+            (key,) = list(memory._entries)
+            cache, value = ActivityCache(disk_dir=tmp_path), memory.get(key)
+        _install("cache.sqlite.write:readonly@1")
+        cache.put(key, value)
+        info = cache.describe_memory()["resilience"]
+        assert info["degraded"] and info["degraded_reason"].startswith("memory-only:")
+        served = cache.get(key)
+        assert cache.stats.hits == 1 and cache.stats.disk_hits == 0  # memory tier
+        assert cache._serialize(served) == cache._serialize(value)
+        faults.reset()
+        # The write never landed: a fresh handle on the directory misses.
+        assert type(cache)(disk_dir=tmp_path).get(key) is None
+
+    def test_per_entry_read_error_does_not_degrade(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_RETRIES", "1")
+        monkeypatch.setenv("REPRO_CACHE_BACKOFF_MS", "1")
+        cache = _StrCache(disk_dir=tmp_path)
         cache.put("k", "v")
-        _install("cache.json.read:error")  # EIO on every read
-        fresh = _StrCache(disk_dir=tmp_path, disk_backend="json")
+        _install("cache.sqlite.read:busy")  # every read stays locked
+        fresh = _StrCache(disk_dir=tmp_path)
         assert fresh.get("k") is None  # unreadable entry is a miss...
         assert not fresh.resilience.degraded  # ...not a dead tier
         assert fresh.stats.disk_errors == 1
@@ -308,13 +336,7 @@ class TestMemoryOnlyDegradation:
 
 class TestPoolResilience:
     def _executor(self) -> ProcessExecutor:
-        return ProcessExecutor(
-            workers=1,
-            chunksize=1,
-            transfer="pickle",
-            encode=_encode_json,
-            decode=_decode_json,
-        )
+        return ProcessExecutor(workers=1, chunksize=1)
 
     def test_single_breakage_rebuilds_and_resubmits(self, monkeypatch):
         # kill@2: the first worker dies on its second chunk; the rebuilt
@@ -347,6 +369,36 @@ class TestPoolResilience:
         assert executor.resilience.pool_rebuilds == 1
         assert executor.resilience.fallback_backend == "threads"
         assert executor.resilience.chunks_resubmitted == 6  # 3 + 3
+
+    def test_breakage_while_submitting_recovers(self, monkeypatch):
+        # Deterministic form of the race where a worker dies before the
+        # remaining chunks are queued: each pool's first submission waits
+        # for its worker to die, so every later submit() finds the pool
+        # already broken.  That must recover like any other breakage.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        monkeypatch.setenv("REPRO_FAULTS", "pool.worker:kill@1")
+        faults.reset()
+        original_submit = ProcessPoolExecutor.submit
+
+        def submit_then_wait_for_first(pool, *args, **kwargs):
+            future = original_submit(pool, *args, **kwargs)
+            if not getattr(pool, "_first_submitted", False):
+                pool._first_submitted = True
+                with pytest.raises(BrokenProcessPool):
+                    future.result()
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_wait_for_first)
+        executor = self._executor()
+        try:
+            results = list(executor.map(_double, [1, 2, 3]))
+        finally:
+            executor.shutdown()
+        assert results == [2, 4, 6]
+        assert executor.resilience.pool_rebuilds == 1
+        assert executor.resilience.fallback_backend == "threads"
 
     def test_worker_raise_propagates_typed_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "pool.worker:raise@1")
@@ -465,7 +517,7 @@ class TestServeResilience:
         assert result.as_dict() == run_experiment(config, cache=None).as_dict()
 
     def test_health_reports_degraded_cache_tier(self, tmp_path):
-        cache = ExperimentCache(disk_dir=tmp_path, disk_backend="sqlite")
+        cache = ExperimentCache(disk_dir=tmp_path)
         cache.resilience.degrade("memory-only: injected for test")
         service = _service()
         service._cache = cache
@@ -488,7 +540,6 @@ CHAOS_SCHEDULES = [
     "cache.sqlite.read:busy@0.5;cache.sqlite.write:busy@0.25",
     "cache.sqlite.read:corrupt@2",
     "cache.sqlite.write:full@1",
-    "cache.json.write:enospc@1",
 ]
 
 
@@ -510,8 +561,7 @@ class TestChaosSchedules:
             r.as_dict()
             for r in run_configs(configs, workers=1, cache=None, activity_cache=None)
         ]
-        backend = "json" if "cache.json" in schedule_text else "sqlite"
-        cache = ExperimentCache(disk_dir=tmp_path / "tier", disk_backend=backend)
+        cache = ExperimentCache(disk_dir=tmp_path / "tier")
         _install(schedule_text, seed=seed)
         try:
             chaotic = [
@@ -523,7 +573,7 @@ class TestChaosSchedules:
         except ReproError:
             return  # a typed failure is an accepted outcome; wrong data is not
         assert chaotic == baseline
-        if "full@1" in schedule_text or "enospc@1" in schedule_text:
+        if "full@1" in schedule_text:
             assert cache.resilience.degraded  # loud, never silent
 
     def test_replayed_schedule_reproduces_the_fault_log(
@@ -540,9 +590,7 @@ class TestChaosSchedules:
         )
         logs = []
         for attempt in range(2):
-            cache = ExperimentCache(
-                disk_dir=tmp_path / f"run{attempt}", disk_backend="sqlite"
-            )
+            cache = ExperimentCache(disk_dir=tmp_path / f"run{attempt}")
             schedule = _install("cache.sqlite.write:busy@0.5", seed=11)
             run_configs(configs, workers=1, cache=cache, activity_cache=None)
             logs.append(schedule.fired)

@@ -17,7 +17,6 @@ from repro.optimize.permutation import (
     restore_columns,
 )
 from repro.optimize.power_capping import find_sparsity_for_cap
-from repro.optimize.scheduler import FleetScheduler, GemmJob
 from repro.optimize.sparsity_design import design_sparsity, magnitude_prune, structured_prune
 from repro.optimize.weight_shift import candidate_shifts, shift_weights_for_power
 
@@ -228,63 +227,3 @@ class TestCompiler:
         assert report.optimized_energy_j <= report.baseline_energy_j
         assert 0.0 <= report.energy_reduction_fraction < 1.0
         assert report.mean_power_reduction_watts >= 0.0
-
-
-class TestScheduler:
-    def _jobs(self, activations, weights, count=4):
-        return [GemmJob(f"job{i}", activations, weights) for i in range(count)]
-
-    def test_schedule_respects_budget(self, activations, weights):
-        devices = [Device.create("a100", instance_id=i) for i in range(2)]
-        single = quick_power_estimate(activations, weights, gpu=devices[0]).power_watts
-        scheduler = FleetScheduler(devices, power_budget_watts=single * 1.5)
-        schedule = scheduler.schedule(self._jobs(activations, weights))
-        assert schedule.within_budget
-        assert schedule.num_slots >= 2  # budget fits only one job per slot
-        assert len(schedule.placements) == 4
-
-    def test_larger_budget_fewer_slots(self, activations, weights):
-        devices = [Device.create("a100", instance_id=i) for i in range(2)]
-        single = quick_power_estimate(activations, weights, gpu=devices[0]).power_watts
-        tight = FleetScheduler(devices, power_budget_watts=single * 1.5).schedule(
-            self._jobs(activations, weights)
-        )
-        loose = FleetScheduler(devices, power_budget_watts=single * 4).schedule(
-            self._jobs(activations, weights)
-        )
-        assert loose.num_slots <= tight.num_slots
-
-    def test_one_job_per_device_per_slot(self, activations, weights):
-        devices = [Device.create("a100")]
-        single = quick_power_estimate(activations, weights, gpu=devices[0]).power_watts
-        schedule = FleetScheduler(devices, power_budget_watts=single * 10).schedule(
-            self._jobs(activations, weights, count=3)
-        )
-        for slot in range(schedule.num_slots):
-            jobs = schedule.jobs_in_slot(slot)
-            assert len({j.device_index for j in jobs}) == len(jobs)
-
-    def test_budget_too_small_rejected(self, activations, weights):
-        devices = [Device.create("a100")]
-        with pytest.raises(OptimizationError):
-            FleetScheduler(devices, power_budget_watts=20.0).schedule(
-                self._jobs(activations, weights, count=1)
-            )
-
-    def test_invalid_construction(self):
-        with pytest.raises(OptimizationError):
-            FleetScheduler([], power_budget_watts=100.0)
-        with pytest.raises(OptimizationError):
-            FleetScheduler([Device.create("a100")], power_budget_watts=0.0)
-
-    def test_empty_jobs_rejected(self):
-        scheduler = FleetScheduler([Device.create("a100")], power_budget_watts=500.0)
-        with pytest.raises(OptimizationError):
-            scheduler.schedule([])
-
-    def test_summary_keys(self, activations, weights):
-        devices = [Device.create("a100")]
-        scheduler = FleetScheduler(devices, power_budget_watts=500.0)
-        schedule = scheduler.schedule(self._jobs(activations, weights, count=2))
-        summary = scheduler.schedule_summary(schedule)
-        assert {"num_slots", "peak_power_watts", "within_budget"}.issubset(summary)

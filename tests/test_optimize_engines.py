@@ -170,6 +170,9 @@ class TestNelderMead:
     # vertex onto the y=-2 face here, sticking the simplex one
     # dimension short of the interior optimum.
     @example(x0=1.0, y0=-1.0, seed=0)
+    # Regression: expanding from a damped reflection landed exactly on
+    # the y=-2 bound, and those on-face vertices collapsed the simplex.
+    @example(x0=0.0, y0=-1.5, seed=223)
     def test_converges_to_analytic_optimum(self, x0, y0, seed):
         engine = NelderMeadEngine(space_2d(), seed=seed, max_iterations=200, xtol=1e-4)
         result = OptimizationRunner(engine, quadratic(x0, y0)).run()
@@ -177,6 +180,29 @@ class TestNelderMead:
         assert result.best_objective == pytest.approx(0.0, abs=1e-3)
         assert result.best_point["x"] == pytest.approx(x0, abs=0.05)
         assert result.best_point["y"] == pytest.approx(y0, abs=0.05)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        x0=st.floats(-1.5, 1.5),
+        y0=st.floats(-1.5, 1.5),
+        seed=st.integers(0, 1_000),
+    )
+    @example(x0=1.0, y0=-1.0, seed=0)
+    @example(x0=0.0, y0=-1.5, seed=223)
+    def test_at_most_one_vertex_per_face(self, x0, y0, seed):
+        """With an interior optimum, two vertices on one face would pin the
+        centroid to it for good; out-of-box and on-face proposals are
+        damped so it never happens.  (An optimum on or beyond a face is
+        different: there the simplex rightly converges onto the face.)"""
+        space = space_2d()
+        engine = NelderMeadEngine(space, seed=seed, max_iterations=60, xtol=1e-4)
+        runner = OptimizationRunner(engine, quadratic(x0, y0))
+        while runner.step() is not None:
+            simplex = np.array(engine.state_dict()["simplex"], dtype=np.float64)
+            for index, dim in enumerate(space.dimensions):
+                tol = 1e-9 * dim.span
+                assert np.sum(simplex[:, index] <= dim.low + tol) <= 1
+                assert np.sum(simplex[:, index] >= dim.high - tol) <= 1
 
     def test_fixed_seed_is_deterministic(self):
         results = [

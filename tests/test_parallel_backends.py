@@ -7,7 +7,7 @@ Covers the three pillars of the subsystem:
   with and without the result/activity cache tiers.
 * **Failure semantics** — a failing sweep point propagates with its label
   attached, blames only its own submission chunk, cancels queued work, and
-  leaves the runner reusable (no leaked pools or shared-memory segments).
+  leaves the runner reusable (no leaked pools).
 * **Calibration** — the chunk-budget probe honours the environment
   override, persists to the cache directory, and reloads what it persisted.
 
@@ -18,7 +18,8 @@ release the GIL (asserted in a way that works even on a single-core host).
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
+import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +39,6 @@ from repro.parallel import (
     get_executor,
     resolve_backend,
 )
-from repro.parallel import shm
 from repro.parallel.backends import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.parallel.calibrate import (
     MAX_CHUNK_BUDGET_BYTES,
@@ -53,24 +53,22 @@ from repro.util.rng import derive_rng
 _INIT_SENTINEL = {"value": None}
 
 
-def _identity(x):
-    return x
-
-
-def _encode_json(values):
-    return json.dumps(list(values)).encode()
-
-
-def _decode_json(payload):
-    return json.loads(payload)
-
-
 def _set_init_sentinel(value):
     _INIT_SENTINEL["value"] = value
 
 
 def _read_init_sentinel(_item):
     return _INIT_SENTINEL["value"]
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError(f"bad item {x}")
+    return x
 
 
 @pytest.fixture
@@ -173,19 +171,6 @@ class TestBackendEquivalence:
         assert activity.stats.hits > 0
         assert _as_dicts(warm) == reference
 
-    def test_processes_shm_and_pickle_transfer_agree(self, sweep, reference, monkeypatch):
-        """The shared-memory return path and the pickle fallback both
-        reproduce the serial results exactly."""
-        via_shm = run_configs(
-            sweep, workers=2, backend="processes", cache=None, activity_cache=None
-        )
-        monkeypatch.setenv(shm.ENV_DISABLE_SHM, "0")
-        via_pickle = run_configs(
-            sweep, workers=2, backend="processes", cache=None, activity_cache=None
-        )
-        assert _as_dicts(via_shm) == reference
-        assert _as_dicts(via_pickle) == reference
-
     def test_dedupe_off_matches(self, quiet_config):
         config = quiet_config(pattern_family="sparsity", matrix_size=32)
         configs = sweep_configs(config, "sparsity", [0.5, 0.5, 0.5])
@@ -245,14 +230,10 @@ class TestFailurePropagation:
         for innocent in ("sparsity=0.0", "sparsity=0.2", "sparsity=0.4", "sparsity=0.6"):
             assert innocent not in message
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"),
-        reason="POSIX shared memory is only directly observable under /dev/shm",
-    )
-    def test_no_leaked_shm_segments_after_failure(self, failing_sweep):
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
+    def test_no_worker_processes_outlive_failure(self, failing_sweep):
+        """A failed processes sweep shuts its pool down: every worker it
+        started has exited by the time the error reaches the caller."""
+        before = {child.pid for child in multiprocessing.active_children()}
         with pytest.raises(ExperimentError):
             run_configs(
                 failing_sweep,
@@ -262,7 +243,7 @@ class TestFailurePropagation:
                 cache=None,
                 activity_cache=None,
             )
-        after = set(glob.glob("/dev/shm/psm_*"))
+        after = {child.pid for child in multiprocessing.active_children()}
         assert after - before == set()
 
 
@@ -335,8 +316,6 @@ class TestExecutors:
             ThreadExecutor(0)
         with pytest.raises(ExperimentError):
             ProcessExecutor(2, chunksize=0)
-        with pytest.raises(ExperimentError):
-            ProcessExecutor(2, transfer="carrier-pigeon")
 
     def test_chunk_span_reflects_chunksize(self):
         executor = ProcessExecutor(2, chunksize=3)
@@ -344,34 +323,55 @@ class TestExecutors:
         executor.shutdown()
         assert SerialExecutor().chunk_span == 1
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"),
-        reason="POSIX shared memory is only directly observable under /dev/shm",
-    )
-    def test_abandoned_iterator_does_not_leak_segments(self):
-        """Breaking out of the result stream early (clean shutdown, no
-        cancellation) must still free the unconsumed chunks' segments."""
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
-        with ProcessExecutor(2, chunksize=1, encode=_encode_json, decode=_decode_json) as executor:
-            for value in executor.map(_identity, list(range(6))):
-                if value == 0:
-                    break  # abandon the rest of the stream
-        after = set(glob.glob("/dev/shm/psm_*"))
-        assert after - before == set()
-
     def test_worker_initializer_runs(self):
         executor = ProcessExecutor(
-            1,
-            chunksize=1,
-            encode=_encode_json,
-            decode=_decode_json,
-            initializer=_set_init_sentinel,
-            initargs=(42,),
+            1, chunksize=1, initializer=_set_init_sentinel, initargs=(42,)
         )
         with executor:
             assert list(executor.map(_read_init_sentinel, [0])) == [42]
+
+
+class TestProcessResultTransfer:
+    """Process workers return each chunk's results through the pool's
+    pickle pipe; these pin the guarantees the sweep runner relies on."""
+
+    @pytest.mark.parametrize("chunksize", [1, 2, 3, 7])
+    def test_map_matches_serial_in_order(self, chunksize):
+        items = list(range(10))  # chunksize 3 and 7 leave a partial last chunk
+        with ProcessExecutor(2, chunksize=chunksize) as executor:
+            got = list(executor.map(_square, items))
+        assert got == list(SerialExecutor().map(_square, items))
+
+    def test_empty_input_yields_nothing(self):
+        with ProcessExecutor(2, chunksize=2) as executor:
+            assert list(executor.map(_square, [])) == []
+
+    def test_worker_exception_reaches_consumer(self):
+        executor = ProcessExecutor(2, chunksize=2)
+        consumed = []
+        with pytest.raises(ValueError, match="bad item 3"):
+            for value in executor.map(_fail_on_three, list(range(8))):
+                consumed.append(value)
+        executor.shutdown(cancel=True)
+        assert consumed == [0, 1]  # the chunk holding 3 yields nothing
+        assert executor.resilience.pool_rebuilds == 0  # a raise is not a breakage
+
+    def test_abandoned_stream_leaves_executor_reusable(self):
+        with ProcessExecutor(2, chunksize=1) as executor:
+            for value in executor.map(_square, list(range(6))):
+                if value == 0:
+                    break  # abandon the rest of the stream
+            assert list(executor.map(_square, [4, 5])) == [16, 25]
+
+    def test_experiment_result_pickle_round_trip_is_lossless(self, quiet_config):
+        from repro.experiments.harness import run_experiment
+
+        result = run_experiment(
+            quiet_config(matrix_size=32, seeds=2), cache=None, activity_cache=None
+        )
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored.as_dict() == result.as_dict()
+        assert json.dumps(restored.as_dict()) == json.dumps(result.as_dict())
 
 
 class TestBackendResolution:
@@ -412,62 +412,6 @@ class TestBackendResolution:
         assert FigureSettings.quick(backend="threads").backend == "threads"
         with pytest.raises(ExperimentError):
             FigureSettings.quick(backend="bogus")
-
-
-# --------------------------------------------------------------- shm transfer
-
-
-class TestSharedMemoryTransfer:
-    @staticmethod
-    def _encode(values):
-        return json.dumps(list(values)).encode()
-
-    @staticmethod
-    def _decode(payload):
-        return json.loads(payload)
-
-    def test_roundtrip(self):
-        handle = shm.share_chunk([1, 2, 3], self._encode)
-        assert isinstance(handle, shm.ShmHandle)
-        assert handle.count == 3
-        assert shm.receive_chunk(handle, self._decode) == [1, 2, 3]
-
-    def test_receive_unlinks_segment(self):
-        handle = shm.share_chunk(["x"], self._encode)
-        shm.receive_chunk(handle, self._decode)
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.name)
-
-    def test_discard_unlinks_segment(self):
-        handle = shm.share_chunk(["x"], self._encode)
-        shm.discard_chunk(handle)
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.name)
-
-    def test_disable_env_forces_inline(self, monkeypatch):
-        monkeypatch.setenv(shm.ENV_DISABLE_SHM, "0")
-        handle = shm.share_chunk([1, 2], self._encode)
-        assert isinstance(handle, shm.InlineChunk)
-        assert shm.receive_chunk(handle, self._decode) == [1, 2]
-        assert not shm.shm_available()
-
-    def test_count_mismatch_detected(self):
-        handle = shm.share_chunk([1, 2, 3], self._encode)
-        bad = shm.ShmHandle(name=handle.name, size=handle.size, count=7)
-        with pytest.raises(ExperimentError, match="expected 7"):
-            shm.receive_chunk(bad, self._decode)
-
-    def test_experiment_result_codec_is_lossless(self, quiet_config):
-        from repro.experiments.harness import run_experiment
-
-        result = run_experiment(quiet_config(matrix_size=32), cache=None, activity_cache=None)
-        payload = shm.encode_experiment_results([result])
-        (decoded,) = shm.decode_experiment_results(payload)
-        assert decoded.as_dict() == result.as_dict()
 
 
 # ---------------------------------------------------------------- calibration

@@ -480,7 +480,6 @@ class TestPersistentWorkerPlanReuse:
         executor = ProcessExecutor(
             workers=1,
             chunksize=1,
-            transfer="pickle",
             initializer=_process_worker_init,
             initargs=(chunk_budget_bytes(), 64),
         )

@@ -295,7 +295,7 @@ class TestDescribe:
         assert doc["service"]["batches"] >= 1
         assert doc["config"]["max_pending"] == 64
         # Explicit (non-default) tiers are reported with live counters.
-        assert doc["caches"]["experiment"]["disk_backend"] is None
+        assert doc["caches"]["experiment"]["disk_dir"] is None
         assert doc["caches"]["experiment"]["hits"] == 1  # second submit hit
         assert "hit_rate" in doc["caches"]["activity"]
         assert json.dumps(doc)  # the /stats body must be JSON-serializable

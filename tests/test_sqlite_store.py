@@ -1,4 +1,4 @@
-"""Tests for the SQLite disk-cache backend (repro.cache.sqlite_store)."""
+"""Tests for the SQLite disk-cache store (repro.cache.sqlite_store)."""
 
 from __future__ import annotations
 
@@ -16,12 +16,7 @@ from repro.cache.sqlite_store import (
     delete_entries,
     read_entries,
 )
-from repro.cache.store import (
-    ActivityCache,
-    ExperimentCache,
-    resolve_disk_backend,
-)
-from repro.errors import ExperimentError
+from repro.cache.store import ActivityCache, ExperimentCache
 
 
 class TestSqliteStore:
@@ -88,28 +83,116 @@ class TestLegacyMigration:
         assert not (tmp_path / "k.json").exists()
 
     def test_cache_reads_migrated_legacy_entries(self, quiet_config, tmp_path):
-        # An entry written by the legacy backend is readable through the
-        # sqlite backend after migration.
+        # A legacy one-file-per-key entry (the serialized document as its
+        # own <key>.json) is readable through the cache after migration.
         from repro.cache.fingerprint import experiment_fingerprint
         from repro.experiments.harness import run_experiment
 
         config = quiet_config()
         key = experiment_fingerprint(config)
         result = run_experiment(config, cache=None)
-        legacy = ExperimentCache(disk_dir=tmp_path, disk_backend="json")
-        legacy.put(key, result)
-        assert (tmp_path / f"{key}.json").exists()
+        document = json.dumps(ExperimentCache()._serialize(result))
+        (tmp_path / f"{key}.json").write_text(document)
 
-        migrated = ExperimentCache(disk_dir=tmp_path, disk_backend="sqlite")
+        migrated = ExperimentCache(disk_dir=tmp_path)
         loaded = migrated.get(key)
         assert loaded is not None
         assert loaded.as_dict() == result.as_dict()
         assert not (tmp_path / f"{key}.json").exists()
 
+    def test_activity_tier_reads_migrated_legacy_entries(self, quiet_config, tmp_path):
+        from repro.experiments.harness import run_experiment
 
-class TestBackendEquivalence:
+        warm = ActivityCache()
+        run_experiment(quiet_config(), cache=None, activity_cache=warm)
+        (key,) = list(warm._entries)  # one seed, one activity estimate
+        report = warm.get(key)
+        assert report is not None
+        activity_dir = tmp_path / "activity"
+        activity_dir.mkdir()
+        (activity_dir / f"{key}.json").write_text(json.dumps(warm._serialize(report)))
+
+        migrated = ActivityCache(disk_dir=activity_dir)
+        assert migrated.get(key) == report  # every float bit-exact
+        assert migrated.stats.disk_hits == 1
+        assert not (activity_dir / f"{key}.json").exists()
+
+    def test_migration_stays_within_its_directory(self, tmp_path):
+        # The experiment tier lives at the root with the activity tier in a
+        # subdirectory: opening the root must not import the subtier's
+        # files, nor anything that is not a <key>.json entry.
+        (tmp_path / "activity").mkdir()
+        (tmp_path / "activity" / "sub.json").write_text('"activity"')
+        (tmp_path / "notes.txt").write_text("not an entry")
+        (tmp_path / ".k.json.123.456.tmp").write_text("partial")
+        with SqliteStore(tmp_path) as store:
+            assert [key for key, _size, _mtime in store.entries()] == []
+        assert (tmp_path / "activity" / "sub.json").exists()
+        assert (tmp_path / "notes.txt").exists()
+        with SqliteStore(tmp_path / "activity") as store:
+            assert store.get("sub") == '"activity"'
+
+    def test_unreadable_legacy_entry_is_skipped(self, tmp_path):
+        (tmp_path / "dir.json").mkdir()  # matches the glob, cannot be read
+        (tmp_path / "good.json").write_text('"ok"')
+        with SqliteStore(tmp_path) as store:
+            assert store.get("good") == '"ok"'
+            assert not store.contains("dir")
+        assert (tmp_path / "dir.json").is_dir()
+        assert not (tmp_path / "good.json").exists()
+
+    def test_files_written_after_migration_import_on_next_open(self, tmp_path):
+        (tmp_path / "first.json").write_text('"1"')
+        with SqliteStore(tmp_path) as store:
+            assert store.get("first") == '"1"'
+        # An older writer sharing the directory keeps publishing files.
+        (tmp_path / "second.json").write_text('"2"')
+        with SqliteStore(tmp_path) as store:
+            assert {key for key, _size, _mtime in store.entries()} == {"first", "second"}
+        assert list(tmp_path.glob("*.json")) == []
+
+    def test_legacy_directory_serves_sweep_from_disk(self, quiet_config, tmp_path):
+        """A whole two-tier directory in the one-file-per-key layout (each
+        row exported as its own <key>.json, the databases removed) serves a
+        re-run sweep from disk with results identical to the cold run."""
+        from repro.experiments.sweep import run_configs, sweep_configs
+
+        configs = sweep_configs(
+            quiet_config(pattern_family="sparsity", matrix_size=32, seeds=2),
+            "sparsity",
+            [0.0, 0.5],
+        )
+        cold = run_configs(
+            configs,
+            workers=1,
+            cache=ExperimentCache(disk_dir=tmp_path),
+            activity_cache=ActivityCache(disk_dir=tmp_path / "activity"),
+        )
+        for directory in (tmp_path, tmp_path / "activity"):
+            with SqliteStore(directory) as store:
+                rows = {key: store.get(key) for key, _size, _mtime in store.entries()}
+            assert rows
+            for database in directory.glob(f"{DB_FILENAME}*"):
+                database.unlink()
+            for key, payload in rows.items():
+                (directory / f"{key}.json").write_text(payload)
+
+        cache = ExperimentCache(disk_dir=tmp_path)
+        warm = run_configs(
+            configs,
+            workers=1,
+            cache=cache,
+            activity_cache=ActivityCache(disk_dir=tmp_path / "activity"),
+        )
+        assert cache.stats.disk_hits == len(configs)
+        assert [r.as_dict() for r in warm] == [r.as_dict() for r in cold]
+        assert list(tmp_path.rglob("*.json")) == []
+
+
+class TestLegacyDocumentEquivalence:
     def test_same_payload_documents(self, tmp_path):
-        """Both backends persist the identical JSON document per key."""
+        """A row holds the same JSON document a legacy entry file held, so
+        a migrated file and a freshly written row read back equal."""
         from repro.activity.report import ActivityReport
 
         report = ActivityReport(
@@ -131,37 +214,21 @@ class TestBackendEquivalence:
             shape=(4, 4, 4),
             output_samples=8,
         )
-        json_cache = ActivityCache(disk_dir=tmp_path / "json", disk_backend="json")
-        sqlite_cache = ActivityCache(disk_dir=tmp_path / "sql", disk_backend="sqlite")
-        json_cache.put("k", report)
-        sqlite_cache.put("k", report)
+        legacy_doc = json.dumps(ActivityCache()._serialize(report))
+        (tmp_path / "legacy").mkdir()
+        (tmp_path / "legacy" / "k.json").write_text(legacy_doc)
+        ActivityCache(disk_dir=tmp_path / "sql").put("k", report)
 
-        file_doc = json.loads((tmp_path / "json" / "k.json").read_text())
         with SqliteStore(tmp_path / "sql") as store:
             db_doc = json.loads(store.get("k"))
-        assert file_doc == db_doc
+        assert json.loads(legacy_doc) == db_doc
 
-        # And each backend round-trips to an equal report.
+        # And both round-trip to an equal report.
         assert (
-            ActivityCache(disk_dir=tmp_path / "json", disk_backend="json").get("k")
-            == ActivityCache(disk_dir=tmp_path / "sql", disk_backend="sqlite").get("k")
+            ActivityCache(disk_dir=tmp_path / "legacy").get("k")
+            == ActivityCache(disk_dir=tmp_path / "sql").get("k")
             == report
         )
-
-    def test_resolve_disk_backend(self, monkeypatch):
-        assert resolve_disk_backend("json") == "json"
-        assert resolve_disk_backend("sqlite") == "sqlite"
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        assert resolve_disk_backend("auto") == "sqlite"
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "json")
-        assert resolve_disk_backend("auto") == "json"
-        # Explicit names are never overridden by the environment.
-        assert resolve_disk_backend("sqlite") == "sqlite"
-        with pytest.raises(ExperimentError):
-            resolve_disk_backend("bogus")
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "carrier-pigeon")
-        with pytest.raises(ExperimentError):
-            resolve_disk_backend("auto")
 
 
 class TestGcHelpers:
@@ -218,7 +285,6 @@ class TestLifecycleOverSqlite:
         self._populate(tmp_path, "activity", ["c"])
         entries = scan_cache_dir(tmp_path)
         assert sorted(entry.key for entry in entries) == ["a", "b", "c"]
-        assert all(entry.backend == "sqlite" for entry in entries)
         stats = cache_dir_stats(tmp_path, now=1_000_000_100.0)
         assert stats["tiers"]["experiment"]["entries"] == 2
         assert stats["tiers"]["activity"]["entries"] == 1
