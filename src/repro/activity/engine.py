@@ -1,12 +1,13 @@
 """Top-level switching-activity engine.
 
-``estimate_activity`` combines the per-component estimators into a single
-:class:`~repro.activity.report.ActivityReport` for one GEMM invocation;
-``estimate_activity_batch`` does the same for a whole batch of same-shape
-invocations (e.g. all seeds of one experiment configuration) with a single
-stream build and stacked 3-D fast paths through every component estimator.
+``estimate_activity_batch`` combines the per-component estimators into one
+:class:`~repro.activity.report.ActivityReport` per invocation for a batch
+of same-shape GEMM invocations (e.g. all seeds of one experiment
+configuration): one stacked stream build, then every component estimator
+runs over the 3-D stack.  ``estimate_activity`` is the same path for a
+single invocation, a batch of one.
 
-Both entry points are cache-aware: given an
+The batch entry point is cache-aware: given an
 :class:`~repro.cache.store.ActivityCache` and per-invocation fingerprints
 (:func:`~repro.cache.fingerprint.activity_fingerprint`), previously
 estimated invocations are served from the cache and — when operands are
@@ -22,33 +23,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.activity.accumulator import (
-    estimate_datapath_activity,
-    estimate_datapath_activity_batch,
-)
-from repro.activity.memory_traffic import (
-    estimate_memory_activity,
-    estimate_memory_activity_batch,
-)
-from repro.activity.multiplier import (
-    estimate_multiplier_activity,
-    estimate_multiplier_activity_batch,
-)
-from repro.activity.operand_bus import (
-    estimate_operand_activity,
-    estimate_operand_activity_batch,
-)
+from repro.activity.accumulator import estimate_datapath_activity_batch
+from repro.activity.memory_traffic import estimate_memory_activity_batch
+from repro.activity.multiplier import estimate_multiplier_activity_batch
+from repro.activity.operand_bus import estimate_operand_activity_batch
 from repro.activity.report import ActivityReport
 from repro.activity.sampler import SamplingConfig
+from repro.activity.toggles import single_invocation
 from repro.errors import ActivityError
 from repro.kernels.gemm import GemmOperands, GemmProblem
 from repro.kernels.schedule import (
-    OperandStreams,
     StackedOperandStreams,
     build_streams,
     build_streams_stacked,
 )
-from repro.parallel.calibrate import DEFAULT_CHUNK_BUDGET_BYTES, chunk_budget_bytes
+from repro.parallel.calibrate import chunk_budget_bytes
 
 __all__ = [
     "ActivityEngine",
@@ -57,55 +46,47 @@ __all__ = [
     "activity_from_matrices",
 ]
 
-#: One batch item: concrete operands, pre-built streams, or a zero-argument
-#: factory producing either (invoked only when the item is not cached).
-OperandSource = (
-    "GemmOperands | OperandStreams | Callable[[], GemmOperands | OperandStreams]"
-)
-
-#: Historical (uncalibrated) per-chunk budget for the batched engine, in
-#: bytes of stacked A-operand data.  The activity estimators are
-#: memory-bandwidth bound: stacking more invocations than fit in cache makes
-#: every pass stream from DRAM and is *slower* than processing seeds one at
-#: a time, so the batch is processed in chunks whose working set stays
-#: cache-resident.  Stacking therefore only engages for small problems,
-#: where per-call overhead (not bandwidth) dominates.  The live budget now
-#: comes from :func:`repro.parallel.calibrate.chunk_budget_bytes` — a
-#: per-machine probe with a ``REPRO_BATCH_CHUNK_BUDGET`` override — and this
-#: name remains as a back-compat alias of that module's fallback default
-#: (one source of truth: ``repro.parallel.calibrate``).
-BATCH_CHUNK_BUDGET_BYTES = DEFAULT_CHUNK_BUDGET_BYTES
+#: One batch item: concrete operands or a zero-argument factory producing
+#: them (invoked only when the item is not cached).
+OperandSource = "GemmOperands | Callable[[], GemmOperands]"
 
 
 def recommended_chunk(per_invocation_values: int) -> int:
     """How many invocations of ``per_invocation_values`` float64 operand
     values to stack per pass.
 
-    The per-chunk working-set budget is machine-calibrated (see
-    :mod:`repro.parallel.calibrate`; ``REPRO_BATCH_CHUNK_BUDGET`` overrides,
-    :data:`BATCH_CHUNK_BUDGET_BYTES` is the fallback).  Callers that
-    generate operands on the fly (e.g. the experiment harness) use this to
-    size their generation chunks so peak memory stays bounded by the chunk,
-    not the whole batch.  Chunking never changes results — chunked
-    estimation is bit-for-bit identical at any chunk size — so the budget
-    only affects speed.
+    The activity estimators are memory-bandwidth bound: stacking more
+    invocations than fit in cache makes every pass stream from DRAM and is
+    *slower* than processing seeds one at a time, so batches are processed
+    in chunks whose working set stays cache-resident.  The per-chunk budget
+    is machine-calibrated (see :mod:`repro.parallel.calibrate`;
+    ``REPRO_BATCH_CHUNK_BUDGET`` overrides,
+    :data:`~repro.parallel.calibrate.DEFAULT_CHUNK_BUDGET_BYTES` is the
+    fallback).  Callers that generate operands on the fly (e.g. the
+    experiment harness) use this to size their generation chunks so peak
+    memory stays bounded by the chunk, not the whole batch.  Chunking never
+    changes results — chunked estimation is bit-for-bit identical at any
+    chunk size — so the budget only affects speed.
     """
     per_invocation_bytes = per_invocation_values * 8
     return max(1, chunk_budget_bytes() // max(per_invocation_bytes, 1))
 
 
 def estimate_activity(
-    operands: "GemmOperands | OperandStreams",
+    operands: "GemmOperands | StackedOperandStreams",
     sampling: SamplingConfig | None = None,
     seed: int = 0,
 ) -> ActivityReport:
     """Estimate the switching activity of one GEMM invocation.
 
+    A single invocation is a batch of one through the stacked estimators.
+
     Parameters
     ----------
     operands:
-        Either concrete :class:`~repro.kernels.gemm.GemmOperands` or
-        pre-built :class:`~repro.kernels.schedule.OperandStreams`.
+        Either concrete :class:`~repro.kernels.gemm.GemmOperands` or the
+        streams of one invocation (:func:`~repro.kernels.schedule.
+        build_streams`).
     sampling:
         Sampling configuration for the product/accumulator estimator.
     seed:
@@ -114,57 +95,26 @@ def estimate_activity(
     """
     if isinstance(operands, GemmOperands):
         streams = build_streams(operands)
-    elif isinstance(operands, OperandStreams):
-        streams = operands
+    elif isinstance(operands, StackedOperandStreams):
+        streams = single_invocation(operands)
     else:
         raise ActivityError(
-            f"estimate_activity expects GemmOperands or OperandStreams, got {type(operands).__name__}"
+            "estimate_activity expects GemmOperands or StackedOperandStreams, "
+            f"got {type(operands).__name__}"
         )
-    sampling = sampling or SamplingConfig()
-
-    operand = estimate_operand_activity(streams)
-    multiplier = estimate_multiplier_activity(streams)
-    datapath = estimate_datapath_activity(streams, sampling, seed=seed)
-    memory = estimate_memory_activity(streams)
-
-    return ActivityReport(
-        operand_activity=operand.activity,
-        multiplier_activity=multiplier.activity,
-        datapath_activity=datapath.activity,
-        memory_activity=memory.activity,
-        operand_toggle_a=operand.toggle_a,
-        operand_toggle_b=operand.toggle_b,
-        multiplier_hw_product=multiplier.hw_product,
-        zero_mac_fraction=multiplier.zero_mac_fraction,
-        product_toggle=datapath.product_toggle,
-        accumulator_toggle=datapath.accumulator_toggle,
-        memory_toggle=memory.toggle,
-        a_hamming_fraction=multiplier.a_hamming_fraction,
-        b_hamming_fraction=multiplier.b_hamming_fraction,
-        bit_alignment=datapath.bit_alignment,
-        dtype=streams.dtype.name,
-        shape=(streams.n, streams.m, streams.k),
-        output_samples=datapath.output_samples,
-    )
+    return _estimate_stacked(streams, sampling or SamplingConfig(), [seed])[0]
 
 
-def _materialize(item: "object") -> "GemmOperands | OperandStreams":
+def _materialize(item: "object") -> GemmOperands:
     """Invoke a factory item if needed and type-check the result."""
-    if callable(item) and not isinstance(item, (GemmOperands, OperandStreams)):
+    if callable(item) and not isinstance(item, GemmOperands):
         item = item()
-    if not isinstance(item, (GemmOperands, OperandStreams)):
+    if not isinstance(item, GemmOperands):
         raise ActivityError(
-            "estimate_activity_batch expects GemmOperands, OperandStreams, "
-            "factories returning them, or StackedOperandStreams; got "
-            f"{type(item).__name__}"
+            "estimate_activity_batch expects GemmOperands, factories returning "
+            f"them, or StackedOperandStreams; got {type(item).__name__}"
         )
     return item
-
-
-def _per_invocation_values(item: "GemmOperands | OperandStreams") -> int:
-    if isinstance(item, GemmOperands):
-        return item.a.size + item.b_stored.size
-    return item.a_used.size + item.b_stored.size
 
 
 def estimate_activity_batch(
@@ -177,17 +127,15 @@ def estimate_activity_batch(
 ) -> list[ActivityReport]:
     """Estimate switching activity for a batch of same-shape GEMM invocations.
 
-    This is the vectorized counterpart of calling :func:`estimate_activity`
-    once per invocation: the operand streams are quantized and bit-encoded in
-    one pass per stacked chunk and every component estimator runs its
-    stacked fast path.  The returned reports are bit-for-bit identical to
-    the sequential ones.
+    The operand streams are quantized and bit-encoded in one pass per
+    stacked chunk and every component estimator runs over the whole chunk.
+    The returned reports are bit-for-bit identical to calling
+    :func:`estimate_activity` once per invocation, at any chunk size.
 
     Parameters
     ----------
     operands:
-        A sequence of :class:`~repro.kernels.gemm.GemmOperands` (or
-        pre-built :class:`~repro.kernels.schedule.OperandStreams`) sharing
+        A sequence of :class:`~repro.kernels.gemm.GemmOperands` sharing
         shape, dtype and transposition, zero-argument factories returning
         them, or an already-stacked
         :class:`~repro.kernels.schedule.StackedOperandStreams`.  Factory
@@ -259,7 +207,7 @@ def estimate_activity_batch(
         if chunk is None:
             first = _materialize(items[missing[0]])
             items[missing[0]] = first
-            chunk = recommended_chunk(_per_invocation_values(first))
+            chunk = recommended_chunk(first.a.size + first.b_stored.size)
         for start in range(0, len(missing), chunk):
             group = missing[start : start + chunk]
             materialized = [_materialize(items[index]) for index in group]
@@ -342,7 +290,7 @@ def _estimate_stacked(
     sampling: SamplingConfig,
     seeds: "Sequence[int] | range | None",
 ) -> list[ActivityReport]:
-    """Run every component estimator's stacked fast path over one chunk."""
+    """Run every component estimator over one stacked chunk."""
     if stacked.batch == 0:
         return []
     operand_list = estimate_operand_activity_batch(stacked)

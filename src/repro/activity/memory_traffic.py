@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, stream_toggle_fraction
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
+from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, single_invocation
+from repro.kernels.schedule import StackedOperandStreams
 from repro.util.bits import toggle_fraction_per_slice
 
 __all__ = ["MemoryActivity", "estimate_memory_activity", "estimate_memory_activity_batch"]
@@ -28,25 +28,18 @@ class MemoryActivity:
     activity: float
 
 
-def estimate_memory_activity(streams: OperandStreams) -> MemoryActivity:
-    """Estimate memory-bus switching activity from storage-order adjacency."""
-    # A is stored row-major: consecutive words on the bus are row neighbours.
-    toggle_a = stream_toggle_fraction(streams.a_words, axis=1)
-    # B uses its *stored* layout (before any logical transpose).
-    toggle_b = stream_toggle_fraction(streams.b_stored_words, axis=1)
-    toggle = 0.5 * (toggle_a + toggle_b)
-    activity = toggle / RANDOM_TOGGLE_FRACTION
-    return MemoryActivity(
-        toggle_a=toggle_a, toggle_b=toggle_b, toggle=toggle, activity=activity
-    )
+def estimate_memory_activity(streams: StackedOperandStreams) -> MemoryActivity:
+    """Memory-bus activity of one GEMM (streams of a batch of one)."""
+    return estimate_memory_activity_batch(single_invocation(streams))[0]
 
 
 def estimate_memory_activity_batch(streams: StackedOperandStreams) -> list[MemoryActivity]:
-    """Stacked fast path: storage-order bus toggles for a whole batch.
+    """Estimate memory-bus switching activity from storage-order adjacency.
 
+    A is stored row-major, so consecutive words on the bus are row
+    neighbours; B uses its *stored* layout (before any logical transpose).
     Toggle counts are integer sums computed in one pass over the 3-D word
-    stacks, so each entry matches :func:`estimate_memory_activity` on the
-    corresponding slice bit for bit.
+    stacks.
     """
     toggles_a = toggle_fraction_per_slice(streams.a_words, axis=2)
     toggles_b = toggle_fraction_per_slice(streams.b_stored_words, axis=2)

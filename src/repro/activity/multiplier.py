@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.activity.toggles import RANDOM_HAMMING_FRACTION
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
+from repro.activity.toggles import RANDOM_HAMMING_FRACTION, single_invocation
+from repro.kernels.schedule import StackedOperandStreams
 from repro.util.bits import popcount
 
 __all__ = [
@@ -45,27 +45,18 @@ class MultiplierActivity:
     activity: float
 
 
-def estimate_multiplier_activity(streams: OperandStreams) -> MultiplierActivity:
-    """Estimate multiplier-array switching activity for one GEMM (exact)."""
-    return _from_counts(
-        pc_a=popcount(streams.a_words),
-        pc_b=popcount(streams.b_words),
-        a_used=streams.a_used,
-        b_used=streams.b_used,
-        width=streams.dtype.bits,
-    )
+def estimate_multiplier_activity(streams: StackedOperandStreams) -> MultiplierActivity:
+    """Multiplier-array activity of one GEMM (streams of a batch of one)."""
+    return estimate_multiplier_activity_batch(single_invocation(streams))[0]
 
 
 def estimate_multiplier_activity_batch(
     streams: StackedOperandStreams,
 ) -> list[MultiplierActivity]:
-    """Stacked fast path: multiplier activity for a whole batch.
+    """Estimate multiplier-array switching activity (exact), one entry per invocation.
 
     The popcount table lookups (the expensive part) run once over the 3-D
-    word stacks; the cheap per-slice statistics then reuse the exact scalar
-    reduction code, so each entry matches
-    :func:`estimate_multiplier_activity` on the corresponding slice bit for
-    bit.
+    word stacks; the cheap per-invocation reductions then run on each slice.
     """
     pc_a = popcount(streams.a_words)  # (S, N, K)
     pc_b = popcount(streams.b_words)  # (S, K, M)
@@ -89,7 +80,7 @@ def _from_counts(
     b_used: np.ndarray,
     width: int,
 ) -> MultiplierActivity:
-    """Shared reduction core operating on precomputed per-word popcounts."""
+    """Per-invocation reduction of precomputed per-word popcounts."""
     hw_a = pc_a.astype(np.float64) / width  # (N, K)
     hw_b = pc_b.astype(np.float64) / width  # (K, M)
 

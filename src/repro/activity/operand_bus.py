@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, stream_toggle_fraction
-from repro.kernels.schedule import OperandStreams, StackedOperandStreams
+from repro.activity.toggles import RANDOM_TOGGLE_FRACTION, single_invocation
+from repro.kernels.schedule import StackedOperandStreams
 from repro.util.bits import toggle_fraction_per_slice
 
 __all__ = ["OperandActivity", "estimate_operand_activity", "estimate_operand_activity_batch"]
@@ -29,23 +29,18 @@ class OperandActivity:
     activity: float
 
 
-def estimate_operand_activity(streams: OperandStreams) -> OperandActivity:
-    """Estimate operand-delivery switching activity for one GEMM."""
-    # A operands stream along the reduction dimension, i.e. along each row.
-    toggle_a = stream_toggle_fraction(streams.a_words, axis=1)
-    # B operands (as consumed, shape (K, M)) stream along the reduction
-    # dimension too, i.e. down each column.
-    toggle_b = stream_toggle_fraction(streams.b_words, axis=0)
-    activity = 0.5 * (toggle_a + toggle_b) / RANDOM_TOGGLE_FRACTION
-    return OperandActivity(toggle_a=toggle_a, toggle_b=toggle_b, activity=activity)
+def estimate_operand_activity(streams: StackedOperandStreams) -> OperandActivity:
+    """Operand-delivery activity of one GEMM (streams of a batch of one)."""
+    return estimate_operand_activity_batch(single_invocation(streams))[0]
 
 
 def estimate_operand_activity_batch(streams: StackedOperandStreams) -> list[OperandActivity]:
-    """Stacked fast path: one estimate per invocation of the batch.
+    """Estimate operand-delivery switching activity, one entry per invocation.
 
-    The bit-level toggle counts are computed in a single pass over the 3-D
-    word stacks; because toggle counts are integer sums, each entry matches
-    :func:`estimate_operand_activity` on the corresponding slice bit for bit.
+    A operands stream along the reduction dimension, i.e. along each row of
+    A; B operands as consumed (shape ``(K, M)``) stream down each column.
+    Toggle counts are integer sums computed in a single pass over the 3-D
+    word stacks.
     """
     toggles_a = toggle_fraction_per_slice(streams.a_words, axis=2)
     toggles_b = toggle_fraction_per_slice(streams.b_words, axis=1)

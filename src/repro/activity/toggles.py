@@ -14,14 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dtypes.base import DTypeSpec
-from repro.util.bits import popcount, toggle_fraction_along_axis
+from repro.errors import ActivityError
+from repro.kernels.schedule import StackedOperandStreams
 
-__all__ = [
-    "stream_toggle_fraction",
-    "mean_hamming_fraction",
-    "zero_fraction_per_slice",
-    "encode_for_accumulator",
-]
+__all__ = ["encode_for_accumulator", "single_invocation"]
 
 #: Expected toggle fraction between successive i.i.d.-random words; used to
 #: normalize stream activities so "random data" maps to activity ~1.0.
@@ -31,23 +27,14 @@ RANDOM_TOGGLE_FRACTION = 0.5
 RANDOM_HAMMING_FRACTION = 0.5
 
 
-def stream_toggle_fraction(words: np.ndarray, axis: int) -> float:
-    """Toggle fraction between successive words along ``axis`` (raw, in [0, 1])."""
-    return toggle_fraction_along_axis(words, axis)
-
-
-def mean_hamming_fraction(words: np.ndarray) -> float:
-    """Mean fraction of set bits per word."""
-    if words.size == 0:
-        return 0.0
-    width = words.dtype.itemsize * 8
-    return float(popcount(words).mean()) / width
-
-
-def zero_fraction_per_slice(values: np.ndarray, axis: int) -> np.ndarray:
-    """Fraction of exactly-zero elements along ``axis`` (one entry per slice)."""
-    arr = np.asarray(values)
-    return (arr == 0.0).mean(axis=axis)
+def single_invocation(streams: StackedOperandStreams) -> StackedOperandStreams:
+    """Check that ``streams`` hold exactly one invocation (a batch of one)."""
+    if streams.batch != 1:
+        raise ActivityError(
+            f"expected the streams of one invocation, got a batch of {streams.batch}; "
+            "use the _batch estimator"
+        )
+    return streams
 
 
 def encode_for_accumulator(values: np.ndarray, dtype: DTypeSpec) -> np.ndarray:

@@ -35,24 +35,15 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.activity.engine import (
-    ActivityEngine,
-    estimate_activity,
-    recommended_chunk,
-)
+from repro.activity.engine import ActivityEngine, recommended_chunk
 from repro.activity.report import ActivityReport
 from repro.cache.fingerprint import activity_fingerprint
 from repro.cache.store import DEFAULT_CACHE
 from repro.dtypes.registry import get_dtype
-from repro.experiments.plan import (
-    ExperimentPlan,
-    build_plan,
-    build_problem,
-    build_workload_pattern,
-)
+from repro.experiments.plan import ExperimentPlan, build_plan, build_workload_pattern
 from repro.experiments.results import ExperimentResult, SeedMeasurement
 from repro.kernels.gemm import GemmOperands, GemmProblem
-from repro.kernels.launch import KernelLaunch, plan_launch
+from repro.kernels.launch import KernelLaunch
 from repro.patterns.base import Pattern
 from repro.power.energy import EnergyEstimate
 from repro.power.model import PowerModel
@@ -170,21 +161,6 @@ class EstimationPipeline:
         a = pattern.generate(problem.a_shape, spec, rng_a)
         b_stored = pattern.generate(problem.b_storage_shape, spec, rng_b)
         return GemmOperands(problem=problem, a=a, b_stored=b_stored)
-
-    def run_seed_reference(self, seed_index: int) -> SeedMeasurement:
-        """Run a single seed end to end (the unbatched reference path).
-
-        Deliberately bypasses the plan: problem, launch and monitor are
-        rebuilt from scratch so this path stays an independent reference
-        for the plan-sharing equivalence tests.
-        """
-        config = self.config
-        problem = build_problem(config)
-        operands = self.generate_operands(problem, seed_index)
-        launch = plan_launch(problem, self.device)
-        activity = estimate_activity(operands, sampling=config.sampling, seed=seed_index)
-        monitor = DcgmMonitor(self.device, config=config.telemetry)
-        return self.measure_seed(seed_index, launch, activity, monitor)
 
     def measure_seed(
         self,

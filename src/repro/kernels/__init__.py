@@ -9,7 +9,7 @@ determines the bit-flip counts the power model consumes.
 
 from repro.kernels.gemm import GemmOperands, GemmProblem, reference_gemm
 from repro.kernels.launch import KernelLaunch, plan_launch
-from repro.kernels.schedule import OperandStreams, build_streams
+from repro.kernels.schedule import build_streams
 from repro.kernels.tiling import TileConfig, default_tile_config
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "reference_gemm",
     "TileConfig",
     "default_tile_config",
-    "OperandStreams",
     "build_streams",
     "KernelLaunch",
     "plan_launch",

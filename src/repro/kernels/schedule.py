@@ -23,7 +23,6 @@ from repro.kernels.gemm import GemmOperands
 from repro.util.rng import sample_without_replacement
 
 __all__ = [
-    "OperandStreams",
     "StackedOperandStreams",
     "build_streams",
     "build_streams_stacked",
@@ -31,84 +30,14 @@ __all__ = [
 
 
 @dataclass
-class OperandStreams:
-    """Bit-level views of the operands in streaming and storage order."""
-
-    dtype: DTypeSpec
-    #: A as consumed, shape (N, K); the k-stream runs along axis 1
-    a_used: np.ndarray
-    #: B as consumed, shape (K, M); the k-stream runs along axis 0
-    b_used: np.ndarray
-    #: B as stored in memory (row-major), shape (M, K) or (K, M)
-    b_stored: np.ndarray
-
-    @cached_property
-    def a_words(self) -> np.ndarray:
-        """Bit patterns of A in consumption order (N, K)."""
-        return self.dtype.encode(self.a_used)
-
-    @cached_property
-    def b_words(self) -> np.ndarray:
-        """Bit patterns of B in consumption order (K, M)."""
-        return self.dtype.encode(self.b_used)
-
-    @cached_property
-    def b_stored_words(self) -> np.ndarray:
-        """Bit patterns of B in storage order."""
-        return self.dtype.encode(self.b_stored)
-
-    @property
-    def n(self) -> int:
-        return self.a_used.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.a_used.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.b_used.shape[1]
-
-    def sample_output_positions(
-        self, rng: np.random.Generator, count: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample distinct output coordinates ``(i, j)`` for per-output analysis.
-
-        Sampling is over the full ``N x M`` output space; when ``count``
-        exceeds the space the whole space is returned (shuffled).
-        """
-        if count <= 0:
-            raise KernelError(f"sample count must be positive, got {count}")
-        total = self.n * self.m
-        flat = sample_without_replacement(rng, total, min(count, total))
-        rows = flat // self.m
-        cols = flat % self.m
-        return rows.astype(np.int64), cols.astype(np.int64)
-
-
-def build_streams(operands: GemmOperands) -> OperandStreams:
-    """Build :class:`OperandStreams` for a concrete GEMM invocation."""
-    spec = operands.problem.dtype_spec
-    a_used = spec.quantize(operands.a)
-    # Quantization is elementwise, so the consumed operand is exactly the
-    # quantized stored matrix (transposed when the kernel transposes B);
-    # quantizing once saves a full encode/decode pass over B.
-    b_stored = spec.quantize(operands.b_stored)
-    b_used = b_stored.T if operands.problem.transpose_b else b_stored
-    return OperandStreams(dtype=spec, a_used=a_used, b_used=b_used, b_stored=b_stored)
-
-
-@dataclass
 class StackedOperandStreams:
-    """Operand streams of a whole batch of same-shape GEMM invocations.
+    """Operand streams of a batch of same-shape GEMM invocations.
 
     The batch (seed) axis is axis 0 of every array: ``a_used`` has shape
     ``(S, N, K)``, ``b_used`` has shape ``(S, K, M)`` and ``b_stored`` keeps
     the storage layout per slice.  Quantization and bit-pattern encoding run
     once over the full stack, which is the expensive part of building
-    per-invocation streams; the per-slice values (and therefore any activity
-    statistics derived from them) are bit-for-bit identical to building
-    :class:`OperandStreams` one invocation at a time.
+    streams.  A single invocation is a batch of one (:func:`build_streams`).
     """
 
     dtype: DTypeSpec
@@ -150,54 +79,43 @@ class StackedOperandStreams:
     def m(self) -> int:
         return self.b_used.shape[2]
 
-    def slice(self, index: int) -> OperandStreams:
-        """Return one invocation of the batch as plain :class:`OperandStreams`.
+    def sample_output_positions(
+        self, rng: np.random.Generator, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample distinct output coordinates ``(i, j)`` for per-output analysis.
 
-        The already-encoded word stacks are shared with the returned view, so
-        slicing never re-encodes.
+        Sampling is over the full ``N x M`` output space of one invocation;
+        when ``count`` exceeds the space the whole space is returned
+        (shuffled).
         """
-        streams = OperandStreams(
-            dtype=self.dtype,
-            a_used=self.a_used[index],
-            b_used=self.b_used[index],
-            b_stored=self.b_stored[index],
-        )
-        for name in ("a_words", "b_words", "b_stored_words"):
-            if name in self.__dict__:  # only forward what is already encoded
-                streams.__dict__[name] = self.__dict__[name][index]
-        return streams
+        if count <= 0:
+            raise KernelError(f"sample count must be positive, got {count}")
+        total = self.n * self.m
+        flat = sample_without_replacement(rng, total, min(count, total))
+        rows = flat // self.m
+        cols = flat % self.m
+        return rows.astype(np.int64), cols.astype(np.int64)
 
 
-def build_streams_stacked(
-    operands: "Sequence[GemmOperands] | Sequence[OperandStreams]",
-) -> StackedOperandStreams:
+def build_streams(operands: GemmOperands) -> StackedOperandStreams:
+    """Build the streams of one GEMM invocation: a batch of one."""
+    return build_streams_stacked([operands])
+
+
+def build_streams_stacked(operands: Sequence[GemmOperands]) -> StackedOperandStreams:
     """Stack a batch of same-shape GEMM invocations into one stream object.
 
     All invocations must share shape, datatype and B-transposition; they are
-    quantized in a single vectorized pass.
+    quantized in a single vectorized pass.  Quantization is elementwise, so
+    the consumed B is exactly the quantized stored B (transposed when the
+    kernel transposes B); quantizing once saves a full pass over B.
     """
     items = list(operands)
     if not items:
         raise KernelError("build_streams_stacked needs at least one invocation")
-    if not isinstance(items[0], (GemmOperands, OperandStreams)):
+    if not isinstance(items[0], GemmOperands):
         raise KernelError(
-            f"build_streams_stacked expects GemmOperands or OperandStreams, "
-            f"got {type(items[0]).__name__}"
-        )
-    if isinstance(items[0], OperandStreams):
-        first = items[0]
-        for other in items[1:]:
-            if not isinstance(other, OperandStreams):
-                raise KernelError("cannot mix OperandStreams with other operand types")
-            if other.dtype.name != first.dtype.name or (
-                (other.n, other.k, other.m) != (first.n, first.k, first.m)
-            ):
-                raise KernelError("stacked streams must share shape and dtype")
-        return StackedOperandStreams(
-            dtype=first.dtype,
-            a_used=np.stack([s.a_used for s in items]),
-            b_used=np.stack([s.b_used for s in items]),
-            b_stored=np.stack([s.b_stored for s in items]),
+            f"build_streams_stacked expects GemmOperands, got {type(items[0]).__name__}"
         )
     first_problem = items[0].problem
     signature = (

@@ -53,9 +53,9 @@ __all__ = [
     "calibration_path",
 ]
 
-#: Fallback budget when nothing else is available — the historical constant
-#: (half a typical per-core L2) that :mod:`repro.activity.engine` used to
-#: hard-code as ``BATCH_CHUNK_BUDGET_BYTES``.
+#: Fallback budget when nothing else is available: half a typical per-core
+#: L2, in bytes of stacked operand data per chunk (see
+#: :func:`repro.activity.engine.recommended_chunk`).
 DEFAULT_CHUNK_BUDGET_BYTES = 1 << 20
 
 #: Environment variable overriding the calibrated budget (human sizes OK).

@@ -10,8 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.activity.engine import estimate_activity
 from repro.activity.sampler import SamplingConfig
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.plan import build_problem
+from repro.kernels.launch import plan_launch
+from repro.telemetry.dcgm import DcgmMonitor
 from repro.telemetry.sampler import TelemetryConfig
 
 
@@ -59,3 +63,25 @@ def gaussian_matrices(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
     a = rng.normal(0.0, 210.0, size=(96, 96))
     b = rng.normal(0.0, 210.0, size=(96, 96))
     return a, b
+
+
+@pytest.fixture
+def seed_reference():
+    """Run one seed of a pipeline's configuration through the reference path.
+
+    The seed goes through the single-invocation activity estimator, and
+    problem, launch and monitor are rebuilt from the config rather than
+    taken from the (possibly cache-shared) plan, so the result is an
+    independent check of the batched, plan-sharing ``pipeline.run()``.
+    """
+
+    def run(pipeline, seed_index: int):
+        config = pipeline.config
+        problem = build_problem(config)
+        operands = pipeline.generate_operands(problem, seed_index)
+        activity = estimate_activity(operands, sampling=config.sampling, seed=seed_index)
+        launch = plan_launch(problem, pipeline.device)
+        monitor = DcgmMonitor(pipeline.device, config=config.telemetry)
+        return pipeline.measure_seed(seed_index, launch, activity, monitor)
+
+    return run

@@ -85,8 +85,8 @@ class TestMultiplierActivity:
         activity = estimate_multiplier_activity(streams)
 
         spec = get_dtype("fp16")
-        hw_a = popcount(spec.encode(streams.a_used)) / 16.0
-        hw_b = popcount(spec.encode(streams.b_used)) / 16.0
+        hw_a = popcount(spec.encode(streams.a_used[0])) / 16.0
+        hw_b = popcount(spec.encode(streams.b_used[0])) / 16.0
         brute = np.mean(
             [
                 hw_a[i, kk] * hw_b[kk, j]

@@ -1,11 +1,18 @@
-"""Batched activity engine: bit-for-bit equivalence with the scalar path."""
+"""Stacked activity engine: one invocation is a batch of one, and batching
+(at any chunk size) never changes a report, bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.activity.accumulator import estimate_datapath_activity
 from repro.activity.engine import estimate_activity, estimate_activity_batch
+from repro.activity.memory_traffic import estimate_memory_activity
+from repro.activity.multiplier import estimate_multiplier_activity
+from repro.activity.operand_bus import estimate_operand_activity
 from repro.activity.sampler import SamplingConfig
 from repro.errors import ActivityError, KernelError
 from repro.experiments.harness import ExperimentRunner
@@ -109,14 +116,17 @@ class TestBatchEquivalence:
             estimate_activity(op, sampling=sampling, seed=index)
             for index, op in enumerate(operands)
         ]
-        streams = [build_streams(op) for op in operands]
-        assert_reports_identical(
-            estimate_activity_batch(streams, sampling=sampling), sequential
-        )
         stacked = build_streams_stacked(operands)
         assert_reports_identical(
             estimate_activity_batch(stacked, sampling=sampling), sequential
         )
+
+    def test_rejects_a_sequence_of_streams(self):
+        # Streams are stacked once per chunk from operands; a list of
+        # per-invocation streams is not a batch item.
+        streams = [build_streams(op) for op in make_operands(count=2)]
+        with pytest.raises(ActivityError):
+            estimate_activity_batch(streams)
 
     def test_empty_batch(self):
         assert estimate_activity_batch([]) == []
@@ -132,17 +142,14 @@ class TestBatchEquivalence:
 
 
 class TestStackedStreams:
-    def test_slice_matches_scalar_build(self):
+    def test_rows_match_single_build(self):
         operands = make_operands(count=2)
         stacked = build_streams_stacked(operands)
         for index, op in enumerate(operands):
-            view = stacked.slice(index)
-            scalar = build_streams(op)
-            assert np.array_equal(view.a_used, scalar.a_used)
-            assert np.array_equal(view.b_used, scalar.b_used)
-            assert np.array_equal(view.b_stored, scalar.b_stored)
-            assert np.array_equal(view.a_words, scalar.a_words)
-            assert np.array_equal(view.b_words, scalar.b_words)
+            single = build_streams(op)
+            assert single.batch == 1
+            for name in ("a_used", "b_used", "b_stored", "a_words", "b_words", "b_stored_words"):
+                assert np.array_equal(getattr(stacked, name)[index], getattr(single, name)[0])
 
     def test_dimensions(self):
         stacked = build_streams_stacked(make_operands(size=64, count=3))
@@ -200,12 +207,86 @@ class TestToggleFractionPerSlice:
             )
 
 
+class TestSingleInvocation:
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            estimate_operand_activity,
+            estimate_multiplier_activity,
+            estimate_datapath_activity,
+            estimate_memory_activity,
+        ],
+    )
+    def test_component_estimators_reject_a_batch(self, estimator):
+        stacked = build_streams_stacked(make_operands(size=32, count=2))
+        with pytest.raises(ActivityError):
+            estimator(stacked)
+
+    def test_estimate_activity_rejects_a_batch(self):
+        stacked = build_streams_stacked(make_operands(size=32, count=2))
+        with pytest.raises(ActivityError):
+            estimate_activity(stacked)
+
+    def test_streams_and_operands_agree(self):
+        (op,) = make_operands(size=48, count=1)
+        sampling = SamplingConfig(output_samples=16)
+        from_operands = estimate_activity(op, sampling=sampling, seed=4)
+        from_streams = estimate_activity(build_streams(op), sampling=sampling, seed=4)
+        assert from_operands == from_streams
+
+
+DTYPES = ["fp16_t", "fp16", "bf16", "fp32", "fp64", "int8", "int32"]
+
+
+@st.composite
+def operand_batches(draw):
+    """A batch of same-shape operands with per-invocation sampling seeds."""
+    dtype = draw(st.sampled_from(DTYPES))
+    n, m, k = (draw(st.integers(1, 24)) for _ in range(3))
+    transpose_b = draw(st.booleans())
+    count = draw(st.integers(1, 4))
+    data_seed = draw(st.integers(0, 2**16))
+    spec = get_dtype(dtype)
+    problem = GemmProblem(n=n, m=m, k=k, dtype=dtype, transpose_b=transpose_b)
+    pattern = build_pattern("gaussian", spec)
+    operands = [
+        GemmOperands(
+            problem=problem,
+            a=pattern.generate(problem.a_shape, spec, derive_rng(data_seed, "A", index)),
+            b_stored=pattern.generate(
+                problem.b_storage_shape, spec, derive_rng(data_seed, "B", index)
+            ),
+        )
+        for index in range(count)
+    ]
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=count, max_size=count))
+    chunk = draw(st.none() | st.integers(1, 5))
+    return operands, seeds, chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=operand_batches(),
+    output_samples=st.integers(1, 48),
+    max_k=st.none() | st.integers(2, 24),
+)
+def test_single_invocation_is_row_of_batch(batch, output_samples, max_k):
+    operands, seeds, chunk = batch
+    sampling = SamplingConfig(output_samples=output_samples, max_k=max_k)
+    batched = estimate_activity_batch(operands, sampling=sampling, seeds=seeds, chunk=chunk)
+    single = [
+        estimate_activity(op, sampling=sampling, seed=seed)
+        for op, seed in zip(operands, seeds)
+    ]
+    assert_reports_identical(batched, single)
+
+
 class TestBatchedHarness:
-    def test_run_matches_per_seed_reference(self, quiet_config):
-        """The batched runner is bit-for-bit the old seed-by-seed loop."""
+    def test_run_matches_per_seed_reference(self, quiet_config, seed_reference):
+        """The batched runner is bit-for-bit the seed-by-seed reference."""
         runner = ExperimentRunner(quiet_config(seeds=3))
         batched = runner.run()
-        reference = [runner._run_seed(index) for index in range(3)]
+        reference = [seed_reference(runner.pipeline, index) for index in range(3)]
         assert [m.as_dict() for m in batched.measurements] == [
             m.as_dict() for m in reference
         ]

@@ -49,15 +49,13 @@ class TestPipelineEquivalence:
         assert runner.runtime_model is runner.pipeline.runtime_model
         assert runner.activity_engine is runner.pipeline.activity_engine
 
-    def test_reference_seed_path_matches_batched(self, quiet_config):
-        # The per-seed reference path (kept for the old _run_seed hook) must
-        # agree with the batched pipeline the seeds normally go through.
+    def test_reference_seed_path_matches_batched(self, quiet_config, seed_reference):
+        # Seeds run one at a time through the single-invocation activity
+        # path must agree with the batched pipeline they normally go through.
         config = quiet_config(seeds=2)
         pipeline = EstimationPipeline(config, activity_cache=None, plan_cache=None)
         batched = pipeline.run()
-        reference = [
-            pipeline.run_seed_reference(index) for index in range(config.seeds)
-        ]
+        reference = [seed_reference(pipeline, index) for index in range(config.seeds)]
         assert [m.as_dict() for m in batched.measurements] == [
             m.as_dict() for m in reference
         ]

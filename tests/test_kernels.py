@@ -149,9 +149,11 @@ class TestSchedule:
             problem=problem, a=rng.normal(size=(8, 32)), b_stored=rng.normal(size=(16, 32))
         )
         streams = build_streams(operands)
-        assert streams.a_words.shape == (8, 32)
-        assert streams.b_words.shape == (32, 16)
-        assert streams.b_stored_words.shape == (16, 32)
+        # One invocation is a batch of one: every array gains a leading 1.
+        assert streams.batch == 1
+        assert streams.a_words.shape == (1, 8, 32)
+        assert streams.b_words.shape == (1, 32, 16)
+        assert streams.b_stored_words.shape == (1, 16, 32)
         assert (streams.n, streams.m, streams.k) == (8, 16, 32)
 
     def test_streams_quantized(self, rng):
