@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from common import RESULTS_DIR, bench_settings
+from common import RESULTS_DIR, settings_for_profile
 from repro.activity.engine import activity_from_matrices
 from repro.gpu.device import Device
 from repro.kernels.gemm import GemmProblem
@@ -80,7 +80,7 @@ def _run_ablation(size):
 
 
 def bench_ablation_activity_components(benchmark):
-    size = bench_settings().matrix_size
+    size = settings_for_profile().matrix_size
     rows, results = benchmark.pedantic(_run_ablation, args=(size,), rounds=1, iterations=1)
 
     table = format_table(

@@ -7,13 +7,13 @@ slowest of the four setups.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.experiments.figures import run_figure
 
 
 def bench_fig1_runtime_by_dtype(benchmark):
     figure = benchmark.pedantic(
-        run_figure, args=("fig1", bench_settings()), rounds=1, iterations=1
+        run_figure, args=("fig1", settings_for_profile()), rounds=1, iterations=1
     )
     emit_figure(figure)
 

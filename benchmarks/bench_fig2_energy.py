@@ -7,13 +7,13 @@ efficient per GEMM despite drawing the most power.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.experiments.figures import run_figure
 
 
 def bench_fig2_energy_by_dtype(benchmark):
     figure = benchmark.pedantic(
-        run_figure, args=("fig2", bench_settings()), rounds=1, iterations=1
+        run_figure, args=("fig2", settings_for_profile()), rounds=1, iterations=1
     )
     emit_figure(figure)
 

@@ -6,7 +6,7 @@ reduce power for floating point datatypes; small value sets reduce power.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.analysis.takeaways import (
     check_t1_std_insensitive,
     check_t2_mean_reduces_power,
@@ -16,7 +16,7 @@ from repro.experiments.figures import run_figure
 
 
 def bench_fig3_value_distribution(benchmark):
-    settings = bench_settings()
+    settings = settings_for_profile()
     figure = benchmark.pedantic(run_figure, args=("fig3", settings), rounds=1, iterations=1)
 
     checks = []

@@ -7,7 +7,7 @@ hungry datatype overall.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.analysis.takeaways import (
     check_t4_similar_bits_use_less,
     check_t5_lsb_randomization_increases,
@@ -19,7 +19,7 @@ from repro.experiments.figures.fig4_bit_similarity import datatype_power_ranking
 
 
 def bench_fig4_bit_similarity(benchmark):
-    settings = bench_settings()
+    settings = settings_for_profile()
     figure = benchmark.pedantic(run_figure, args=("fig4", settings), rounds=1, iterations=1)
 
     checks = []

@@ -7,7 +7,7 @@ less than full sorting.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.analysis.takeaways import (
     check_t8_sorting_decreases,
     check_t9_aligned_sorting_better,
@@ -18,7 +18,7 @@ from repro.experiments.figures import run_figure
 
 
 def bench_fig5_placement(benchmark):
-    settings = bench_settings()
+    settings = settings_for_profile()
     figure = benchmark.pedantic(run_figure, args=("fig5", settings), rounds=1, iterations=1)
 
     checks = []

@@ -7,7 +7,7 @@ datatypes); zeroing LSBs or MSBs reduces power.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.analysis.takeaways import (
     check_t12_sparsity_decreases,
     check_t13_sorted_sparsity_peak,
@@ -18,7 +18,7 @@ from repro.experiments.figures import run_figure
 
 
 def bench_fig6_sparsity(benchmark):
-    settings = bench_settings(sweep_points=max(bench_settings().sweep_points, 6))
+    settings = settings_for_profile(sweep_points=max(settings_for_profile().sweep_points, 6))
     figure = benchmark.pedantic(run_figure, args=("fig6", settings), rounds=1, iterations=1)
 
     checks = []

@@ -8,7 +8,7 @@ TDP) and is run at 512x512 because it throttles at 2048x2048.
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.analysis.takeaways import (
     check_t2_mean_reduces_power,
     check_t6_msb_randomization_increases,
@@ -21,7 +21,7 @@ from repro.gpu.specs import PAPER_GPUS
 
 
 def bench_fig7_generalization(benchmark):
-    settings = bench_settings()
+    settings = settings_for_profile()
     figure = benchmark.pedantic(run_figure, args=("fig7", settings), rounds=1, iterations=1)
 
     checks = []

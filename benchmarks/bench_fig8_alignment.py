@@ -7,13 +7,13 @@ the trend is "not entirely consistent".
 
 from __future__ import annotations
 
-from common import bench_settings, emit_figure
+from common import emit_figure, settings_for_profile
 from repro.analysis.correlation import correlate_power_with_bit_metrics
 from repro.experiments.figures import run_figure
 
 
 def bench_fig8_alignment_hamming(benchmark):
-    settings = bench_settings()
+    settings = settings_for_profile()
     figure = benchmark.pedantic(run_figure, args=("fig8", settings), rounds=1, iterations=1)
     emit_figure(figure)
 

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from common import RESULTS_DIR, bench_settings
+from common import RESULTS_DIR, settings_for_profile
 from repro.optimize.compiler import GemmOp, Pipeline, PowerAwareCompiler
 from repro.optimize.estimation import quick_power_estimate
 from repro.optimize.permutation import greedy_low_toggle_permutation, permute_columns
@@ -79,7 +79,7 @@ def _run_optimizers(size):
 
 
 def bench_power_aware_optimizers(benchmark):
-    size = min(bench_settings().matrix_size, 512)
+    size = min(settings_for_profile().matrix_size, 512)
     baseline, rows, results = benchmark.pedantic(_run_optimizers, args=(size,), rounds=1, iterations=1)
 
     table = format_table(

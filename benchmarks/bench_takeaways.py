@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from common import RESULTS_DIR, bench_settings
+from common import RESULTS_DIR, settings_for_profile
 from repro.analysis.reporting import render_takeaway_report
 from repro.analysis.takeaways import evaluate_takeaways, passed_fraction
 from repro.experiments.figures.common import base_config, mean_sweep_values
@@ -58,7 +58,7 @@ def _run_takeaways(settings):
 
 
 def bench_takeaways_t1_to_t15(benchmark):
-    settings = bench_settings()
+    settings = settings_for_profile()
     checks = benchmark.pedantic(_run_takeaways, args=(settings,), rounds=1, iterations=1)
 
     report = render_takeaway_report(checks, title="Paper takeaways T1-T15 (reproduced)")

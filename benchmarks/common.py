@@ -23,14 +23,14 @@ from pathlib import Path
 from repro.experiments.figures import FigureSettings
 from repro.experiments.results import FigureResult
 
-__all__ = ["bench_settings", "emit_figure", "RESULTS_DIR", "PROFILE"]
+__all__ = ["settings_for_profile", "emit_figure", "RESULTS_DIR", "PROFILE"]
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "quick").strip().lower()
 
 
-def bench_settings(**overrides) -> FigureSettings:
+def settings_for_profile(**overrides) -> FigureSettings:
     """Figure settings for the selected benchmark profile."""
     if PROFILE == "paper":
         settings = FigureSettings.paper()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.errors import ActivityError
@@ -45,7 +45,6 @@ class ActivityReport:
     dtype: str = "unknown"
     shape: tuple[int, int, int] = (0, 0, 0)
     output_samples: int = 0
-    extras: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in COMPONENT_NAMES:
@@ -78,7 +77,7 @@ class ActivityReport:
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serializable dictionary of every field."""
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["shape"] = list(self.shape)
         return data
 
@@ -89,10 +88,11 @@ class ActivityReport:
         Unknown keys are ignored so reports written by newer code versions
         still load.
         """
-        known = {f.name for f in fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
+        kwargs = {key: value for key, value in data.items() if key in _FIELD_NAMES}
         if "shape" in kwargs:
             kwargs["shape"] = tuple(kwargs["shape"])
-        if "extras" in kwargs and kwargs["extras"] is not None:
-            kwargs["extras"] = dict(kwargs["extras"])
         return cls(**kwargs)
+
+
+#: Every field, in declaration order (the key order of :meth:`as_dict`).
+_FIELD_NAMES = tuple(spec.name for spec in fields(ActivityReport))

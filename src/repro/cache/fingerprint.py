@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import asdict, fields
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro._version import __version__
 from repro.dtypes.registry import get_dtype
@@ -60,10 +60,23 @@ def fingerprint_payload(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _dtype_spec_payload(name: str) -> dict[str, Any]:
-    """Resolved dtype spec, included so re-registering a dtype name under a
-    different definition can never serve stale cached results."""
-    spec = get_dtype(name)
+#: Resolved-spec payloads keyed by spec identity.  Each entry keeps its spec
+#: alive, so the id cannot be reused while the entry exists; a spec
+#: re-registered under the same name is a new object and misses.  Never key
+#: this by value equality: ``1 == 1.0 == True`` hash alike but serialize
+#: differently, so one spec's payload could be served for another's.
+_SPEC_PAYLOADS: dict[int, tuple[Any, dict[str, Any]]] = {}
+
+
+def _memoized_payload(spec: Any, build: Callable[[Any], dict[str, Any]]) -> dict[str, Any]:
+    """``build(spec)``, computed once per spec object (callers never mutate it)."""
+    entry = _SPEC_PAYLOADS.get(id(spec))
+    if entry is None:
+        entry = _SPEC_PAYLOADS[id(spec)] = (spec, build(spec))
+    return entry[1]
+
+
+def _build_dtype_spec_payload(spec: Any) -> dict[str, Any]:
     return {
         "kind": spec.kind,
         "bits": spec.bits,
@@ -73,6 +86,24 @@ def _dtype_spec_payload(name: str) -> dict[str, Any]:
         else None,
         "int_format": asdict(spec.int_format) if spec.int_format is not None else None,
     }
+
+
+def _dtype_spec_payload(name: str) -> dict[str, Any]:
+    """Resolved dtype spec, included so re-registering a dtype name under a
+    different definition can never serve stale cached results."""
+    return _memoized_payload(get_dtype(name), _build_dtype_spec_payload)
+
+
+def _gpu_spec_payload(name: str) -> dict[str, Any]:
+    """Resolved GPU spec, for the same reason as :func:`_dtype_spec_payload`."""
+    return _memoized_payload(get_gpu_spec(name), asdict)
+
+
+def _field_dict(knobs: Any) -> dict[str, Any]:
+    """Field values of a flat dataclass of scalars (``SamplingConfig``,
+    ``TelemetryConfig``): what ``asdict`` returns, without its deep copy.
+    These are per-config objects, so they are not memoized by identity."""
+    return {spec.name: getattr(knobs, spec.name) for spec in fields(knobs)}
 
 
 def experiment_fingerprint(
@@ -106,9 +137,9 @@ def experiment_fingerprint(
         "kind": "experiment",
         "config": description,
         "dtype_spec": _dtype_spec_payload(config.dtype),
-        "gpu_spec": asdict(get_gpu_spec(config.gpu)),
-        "sampling": asdict(config.sampling),
-        "telemetry": asdict(config.telemetry),
+        "gpu_spec": _gpu_spec_payload(config.gpu),
+        "sampling": _field_dict(config.sampling),
+        "telemetry": _field_dict(config.telemetry),
         "include_process_variation": config.include_process_variation,
         "code": code_version if code_version is not None else code_fingerprint(),
     }
@@ -141,8 +172,8 @@ def plan_fingerprint(
         "kind": "plan",
         "plan": config.describe_plan(),
         "dtype_spec": _dtype_spec_payload(config.dtype),
-        "gpu_spec": asdict(get_gpu_spec(config.gpu)),
-        "telemetry": asdict(config.telemetry),
+        "gpu_spec": _gpu_spec_payload(config.gpu),
+        "telemetry": _field_dict(config.telemetry),
         "code": code_version if code_version is not None else code_fingerprint(),
     }
     return fingerprint_payload(payload)
@@ -176,7 +207,7 @@ def activity_fingerprint(
             "base_seed": config.base_seed,
         },
         "dtype_spec": _dtype_spec_payload(config.dtype),
-        "sampling": asdict(config.sampling),
+        "sampling": _field_dict(config.sampling),
         "seed": int(seed),
         "code": code_version if code_version is not None else code_fingerprint(),
     }

@@ -38,9 +38,14 @@ Every tier upholds four invariants, in roughly priority order:
    determines the value, including resolved dtype/GPU specs and the code
    version; two configs with equal fingerprints are guaranteed bit-identical
    results, so a hit can never change what a caller computes, only when.
-2. **Isolation** — values are defensively deep-copied on both ``put`` and
-   ``get``, so callers can mutate results (e.g. re-stamp labels) without
-   corrupting the store or each other.
+2. **Isolation** — the mutable parts of a value are copied on both
+   ``put`` and ``get``, and its frozen parts are shared: a result's
+   ``config`` dict (with its nested dicts and lists) and its
+   ``measurements`` list are fresh per call, while the frozen
+   :class:`~repro.experiments.results.SeedMeasurement` and
+   :class:`~repro.activity.report.ActivityReport` objects are handed out
+   as stored.  Callers can therefore mutate results (e.g. re-stamp labels)
+   without corrupting the store or each other.
 3. **Crash/concurrency safety** — disk writes are atomic under concurrent
    processes (SQLite's journaling), so processes sharing a cache
    directory can never observe a torn entry; unreadable or
@@ -63,7 +68,6 @@ environment variables.  When ``REPRO_CACHE_MAX_BYTES`` or
 
 from __future__ import annotations
 
-import copy
 import errno as errno_module
 import json
 import os
@@ -139,9 +143,9 @@ class JsonDiskCache:
     """Bounded LRU of JSON-serializable values with an optional disk store.
 
     Subclasses define the value type by overriding :meth:`_check_value`,
-    :meth:`_serialize` and :meth:`_deserialize`; everything else — LRU
-    bookkeeping, defensive copying, atomic disk writes and corrupt-entry
-    recovery — is shared.  Each value is stored on disk as its serialized
+    :meth:`_copy`, :meth:`_serialize` and :meth:`_deserialize`; everything
+    else — LRU bookkeeping, atomic disk writes and corrupt-entry recovery —
+    is shared.  Each value is stored on disk as its serialized
     JSON document, one :class:`~repro.cache.sqlite_store.SqliteStore` row
     per key.
 
@@ -183,6 +187,11 @@ class JsonDiskCache:
         """Raise :class:`ExperimentError` unless ``value`` is storable."""
         raise NotImplementedError
 
+    def _copy(self, value: Any) -> Any:
+        """A copy of ``value`` whose mutable parts are fresh (frozen parts
+        may be shared); applied on both ``put`` and ``get``."""
+        raise NotImplementedError
+
     def _serialize(self, value: Any) -> dict[str, Any]:
         raise NotImplementedError
 
@@ -195,10 +204,11 @@ class JsonDiskCache:
         """Return a copy of the stored value for ``key``, or ``None``.
 
         Only the LRU bookkeeping and counters run under the lock; the
-        defensive deep copy and any disk read happen outside it, so
-        concurrent hits do not serialize on copying (stored entries are
-        never mutated in place — ``put`` inserts its own copy and ``get``
-        hands out copies — so unlocked reads of one entry are safe).
+        copy and any disk read happen outside it, so concurrent hits do
+        not serialize on copying (stored entries are never mutated in
+        place — ``put`` inserts its own copy and ``get`` hands out copies
+        whose shared parts are frozen — so unlocked reads of one entry are
+        safe).
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -206,7 +216,7 @@ class JsonDiskCache:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
         if entry is not None:
-            return copy.deepcopy(entry)
+            return self._copy(entry)
         entry = self._load_from_disk(key)
         with self._lock:
             if entry is not None:
@@ -215,16 +225,16 @@ class JsonDiskCache:
                 self.stats.disk_hits += 1
             else:
                 self.stats.misses += 1
-        return copy.deepcopy(entry) if entry is not None else None
+        return self._copy(entry) if entry is not None else None
 
     def put(self, key: str, value: Any) -> None:
         """Store a copy of ``value`` under ``key`` (memory and disk).
 
-        The deep copy and the (atomic) disk write run outside the lock for
-        the same reason as in :meth:`get`.
+        The copy and the (atomic) disk write run outside the lock for the
+        same reason as in :meth:`get`.
         """
         self._check_value(value)
-        stored = copy.deepcopy(value)
+        stored = self._copy(value)
         with self._lock:
             self._insert(key, stored)
             self.stats.puts += 1
@@ -341,6 +351,16 @@ class JsonDiskCache:
         self.resilience.degrade(f"memory-only: {exc}")
 
 
+def _copy_json(value: Any) -> Any:
+    """Copy the dicts and lists of a JSON-shaped value; leaves are shared
+    (they are immutable scalars)."""
+    if isinstance(value, dict):
+        return {key: _copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(item) for item in value]
+    return value
+
+
 @dataclass
 class ExperimentCache(JsonDiskCache):
     """LRU + disk store of whole :class:`ExperimentResult` objects."""
@@ -352,6 +372,13 @@ class ExperimentCache(JsonDiskCache):
             raise ExperimentError(
                 f"ExperimentCache stores ExperimentResult, got {type(value).__name__}"
             )
+
+    def _copy(self, value: "ExperimentResult") -> "ExperimentResult":
+        # Measurements are frozen (and so are their activity reports), so
+        # a new list sharing them isolates the caller; the config is the
+        # one JSON-shaped mutable part.
+        config = {key: _copy_json(item) for key, item in value.config.items()}
+        return type(value)(config=config, measurements=list(value.measurements))
 
     def _serialize(self, value: "ExperimentResult") -> dict[str, Any]:
         return value.as_dict()
@@ -379,6 +406,9 @@ class ActivityCache(JsonDiskCache):
             raise ExperimentError(
                 f"ActivityCache stores ActivityReport, got {type(value).__name__}"
             )
+
+    def _copy(self, value: "ActivityReport") -> "ActivityReport":
+        return value  # frozen all the way down: nothing to isolate
 
     def _serialize(self, value: "ActivityReport") -> dict[str, Any]:
         return value.as_dict()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -20,6 +22,31 @@ PAPER_MATRIX_SIZE = 2048
 PAPER_SEEDS = 10
 #: Kernel iterations per run (the paper uses 20k for FP16-T, 10k otherwise).
 PAPER_ITERATIONS = {"fp16_t": 20_000, "default": 10_000}
+
+
+#: Fields that must hold integers (a JSON ``16.0`` is accepted as ``16``).
+_INTEGER_FIELDS = ("matrix_size", "instance_id", "seeds", "base_seed", "iterations")
+
+
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an ``int``; bools and non-integral numbers are rejected."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ExperimentError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(path: str, value: Any) -> None:
+    """Reject NaN and infinities anywhere in a JSON-shaped value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(f"{path}.{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _require_finite(f"{path}[{index}]", item)
+    elif isinstance(value, numbers.Real) and not math.isfinite(value):
+        raise ExperimentError(f"{path} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,16 +86,26 @@ class ExperimentConfig:
             )
         get_dtype(self.dtype)          # raises on unknown dtype
         get_gpu_spec(self.gpu)         # raises on unknown GPU
+        for name in _INTEGER_FIELDS:
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.matrix_size < 8:
             raise ExperimentError(f"matrix_size must be >= 8, got {self.matrix_size}")
         if self.seeds < 1:
             raise ExperimentError(f"seeds must be >= 1, got {self.seeds}")
         if self.iterations < 1:
             raise ExperimentError(f"iterations must be >= 1, got {self.iterations}")
-        if self.warmup_trim_s < 0:
-            raise ExperimentError(f"warmup_trim_s must be >= 0, got {self.warmup_trim_s}")
+        trim = self.warmup_trim_s
+        if not isinstance(trim, numbers.Real) or not math.isfinite(trim):
+            raise ExperimentError(f"warmup_trim_s must be a finite number, got {trim!r}")
+        if trim < 0:
+            raise ExperimentError(f"warmup_trim_s must be >= 0, got {trim}")
+        if not isinstance(self.pattern_params, Mapping):
+            raise ExperimentError(
+                f"pattern_params must be a mapping, got {type(self.pattern_params).__name__}"
+            )
         # Freeze the mapping so the config is hashable-ish and safe to share.
         object.__setattr__(self, "pattern_params", dict(self.pattern_params))
+        _require_finite("pattern_params", self.pattern_params)
 
     # ------------------------------------------------------------- builders
 

@@ -120,11 +120,12 @@ class ExperimentResult:
         )
 
     def as_dict(self) -> dict[str, Any]:
+        power = self.power_summary()
         return {
             "config": dict(self.config),
             "measurements": [m.as_dict() for m in self.measurements],
-            "mean_power_watts": self.mean_power_watts,
-            "power_std_watts": self.power_std_watts,
+            "mean_power_watts": power.mean,
+            "power_std_watts": power.std,
             "mean_iteration_time_s": self.mean_iteration_time_s,
             "mean_iteration_energy_j": self.mean_iteration_energy_j,
             "mean_activity_factor": self.mean_activity_factor,

@@ -10,6 +10,7 @@ small constant power offset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.dtypes.registry import get_dtype
 from repro.errors import DeviceError
@@ -70,11 +71,9 @@ class Device:
 
     def process_variation_watts(self) -> float:
         """Deterministic per-instance power offset modeling chip variation."""
-        rng = derive_rng(0xC0FFEE, "process_variation", self.spec.name, self.instance_id)
-        offset = float(rng.normal(0.0, self.spec.process_variation_watts))
-        # Clamp to the ~10 W swing the paper reports across VM instances.
-        bound = 3.0 * self.spec.process_variation_watts
-        return max(min(offset, bound), -bound)
+        return _process_variation_watts(
+            self.spec.name, self.spec.process_variation_watts, self.instance_id
+        )
 
     def supports_dtype(self, dtype: str) -> bool:
         return self.spec.supports_dtype(get_dtype(dtype).name)
@@ -98,3 +97,15 @@ class Device:
             "memory_bandwidth_gbps": self.spec.memory_bandwidth_gbps,
             "boost_clock_mhz": self.spec.boost_clock_mhz,
         }
+
+
+# ``typed``: 1, 1.0 and True hash alike but seed the draw through repr().
+@lru_cache(maxsize=4096, typed=True)
+def _process_variation_watts(name: str, std_watts: float, instance_id: int) -> float:
+    """The offset drawn for one (GPU model, variation std, instance): these
+    hashable scalars fully determine the draw, so it is made once."""
+    rng = derive_rng(0xC0FFEE, "process_variation", name, instance_id)
+    offset = float(rng.normal(0.0, std_watts))
+    # Clamp to the ~10 W swing the paper reports across VM instances.
+    bound = 3.0 * std_watts
+    return max(min(offset, bound), -bound)

@@ -7,10 +7,12 @@ import json
 import pytest
 
 from repro.cache.fingerprint import (
+    activity_fingerprint,
     canonical_json,
     code_fingerprint,
     experiment_fingerprint,
     fingerprint_payload,
+    plan_fingerprint,
 )
 from repro.cache.sqlite_store import DB_FILENAME, SqliteStore
 from repro.cache.store import (
@@ -116,6 +118,100 @@ class TestFingerprint:
         monkeypatch.setitem(gpu_specs.GPU_SPECS, "a100", modified)
         assert experiment_fingerprint(config) != before
 
+
+#: (experiment, plan, activity seed 1) digests of the two pinned configs,
+#: which differ only in ``sample_period_s=1`` against ``1.0``.  A change to
+#: any of them means every stored cache entry stops hitting.  (A list, not a
+#: dict: ``1`` and ``1.0`` are the same dict key.)
+PINNED_DIGESTS = [
+    (1, (
+        "cdda6fccc43c07851b41c095caf17d8afe8bb9e88ef849d28397a550f1aa1f23",
+        "13168cc2a6cec193df82b1560fc871115d68aeec654eb556744dfc84485f47d7",
+        "d062f4756de442dc3c4dbf7e0f2b0cef9e1bb2473753f7c4315646994951253c",
+    )),
+    (1.0, (
+        "bc9eeb803d8a846e29b7392b0db4acaf364c45871b54f66cff9f8bab7175d99f",
+        "d8d39eca35c6a8dd3d7b6df0597819136a01905b55d465d7279760f2679ded02",
+        "d062f4756de442dc3c4dbf7e0f2b0cef9e1bb2473753f7c4315646994951253c",
+    )),
+]
+
+
+def _pinned_config(sample_period_s):
+    from repro.experiments.config import ExperimentConfig
+    from repro.telemetry.sampler import TelemetryConfig
+
+    return ExperimentConfig(
+        pattern_family="gaussian",
+        pattern_params={"mean": 0.0, "std": 1},
+        dtype="fp16_t",
+        gpu="a100",
+        matrix_size=64,
+        seeds=2,
+        telemetry=TelemetryConfig(sample_period_s=sample_period_s),
+    )
+
+
+def _digests(config):
+    return (
+        experiment_fingerprint(config),
+        plan_fingerprint(config),
+        activity_fingerprint(config, 1),
+    )
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("sample_period_s, digests", PINNED_DIGESTS)
+    def test_digests_are_pinned(self, sample_period_s, digests):
+        config = _pinned_config(sample_period_s)
+        assert _digests(config) == digests
+        assert _digests(config) == digests  # memo warm
+
+    def test_int_and_float_knobs_keep_distinct_digests(self):
+        # ``1 == 1.0`` but they serialize differently, so a payload memo
+        # keyed by value would serve one config's key for the other.
+        as_int, as_float = _digests(_pinned_config(1)), _digests(_pinned_config(1.0))
+        assert as_int[:2] != as_float[:2]
+        assert as_int[2] == as_float[2]  # telemetry is not part of the workload
+
+    def test_re_registered_specs_change_the_digests(self):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.dtypes.base import NativeFloatSpec
+        from repro.dtypes.fp16 import FP16_FORMAT
+        from repro.dtypes.registry import get_dtype, register_dtype
+        from repro.gpu.specs import get_gpu_spec, register_gpu_spec
+
+        config = _pinned_config(1)
+        pinned = _digests(config)  # warms the spec-payload memo
+        gpu, dtype = get_gpu_spec("a100"), get_dtype("fp16_t")
+        try:
+            register_gpu_spec(
+                dataclasses.replace(gpu, tdp_watts=gpu.tdp_watts + 25.0), overwrite=True
+            )
+            after_gpu = _digests(config)
+            assert after_gpu[0] != pinned[0] and after_gpu[1] != pinned[1]
+            assert after_gpu[2] == pinned[2]  # the GPU is not part of the workload
+            register_gpu_spec(gpu, overwrite=True)
+            register_dtype(
+                NativeFloatSpec(
+                    name="fp16_t",
+                    value_dtype=np.dtype(np.float16),
+                    word_dtype=np.dtype(np.uint16),
+                    float_format=FP16_FORMAT,
+                    tensor_core=False,
+                ),
+                overwrite=True,
+            )
+            after_dtype = _digests(config)
+            assert all(new != old for new, old in zip(after_dtype, pinned))
+        finally:
+            register_gpu_spec(gpu, overwrite=True)
+            register_dtype(dtype, overwrite=True)
+        assert _digests(config) == pinned
+
     def test_canonical_json_is_order_insensitive(self):
         a = fingerprint_payload({"x": 1, "y": [1, 2]})
         b = fingerprint_payload({"y": [1, 2], "x": 1})
@@ -141,15 +237,34 @@ class TestExperimentCache:
 
     def test_copies_are_defensive(self, quiet_config):
         cache = ExperimentCache()
-        config = quiet_config()
+        config = quiet_config(seeds=2, pattern_params={"std": 1.0})
         result = run_experiment(config, cache=None)
+        expected = json.loads(json.dumps(result.as_dict()))  # detached
         key = experiment_fingerprint(config)
         cache.put(key, result)
-        result.config["label"] = "mutated after put"
-        first = cache.get(key)
-        first.config["label"] = "mutated after get"
-        second = cache.get(key)
-        assert second.config["label"] not in ("mutated after put", "mutated after get")
+
+        def mutate(value, stamp):
+            value.config["label"] = stamp
+            value.config["pattern_params"]["std"] = stamp
+            value.config["device"]["name"] = stamp
+            value.measurements.pop()
+            value.measurements.append(value.measurements[0])
+
+        mutate(result, "mutated after put")
+        mutate(cache.get(key), "mutated after get")
+        assert cache.get(key).as_dict() == expected
+
+    def test_shared_measurements_are_frozen(self, quiet_config):
+        import dataclasses
+
+        cache = ExperimentCache()
+        config = quiet_config()
+        cache.put("key", run_experiment(config, cache=None))
+        measurement = cache.get("key").measurements[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            measurement.power_watts = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            measurement.activity.operand_activity = 0.0
 
     def test_lru_eviction(self, quiet_config):
         cache = ExperimentCache(max_entries=2)

@@ -174,6 +174,21 @@ class TestActivityCacheTier:
         with pytest.raises(ExperimentError):
             resolve_activity_cache("bogus")
 
+    def test_reports_are_shared_frozen(self):
+        import dataclasses
+
+        cache = ActivityCache()
+        cache.put("k", _make_report())
+        hit = cache.get("k")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hit.operand_activity = 0.0
+        assert cache.get("k") == _make_report()
+
+    def test_stored_extras_key_still_loads(self):
+        data = _make_report().as_dict()
+        assert "extras" not in data
+        assert ActivityReport.from_dict({**data, "extras": {}}) == _make_report()
+
     def test_disk_round_trip_is_bit_exact(self, tmp_path):
         report = _make_report(0.123456789012345678)
         ActivityCache(disk_dir=tmp_path).put("k", report)

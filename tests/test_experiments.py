@@ -41,6 +41,43 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentError):
             ExperimentConfig(warmup_trim_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["matrix_size", "seeds", "iterations", "instance_id", "base_seed"]
+    )
+    @pytest.mark.parametrize("value", [16.5, True, False, "16", None])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_integral_numbers_become_ints(self):
+        import numpy as np
+
+        config = ExperimentConfig(matrix_size=64.0, seeds=np.int64(2))
+        assert type(config.matrix_size) is int and config.matrix_size == 64
+        assert type(config.seeds) is int and config.seeds == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.5"])
+    def test_warmup_trim_must_be_finite(self, value):
+        with pytest.raises(ExperimentError, match="warmup_trim_s"):
+            ExperimentConfig(warmup_trim_s=value)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"std": float("nan")},
+            {"mean": float("inf")},
+            {"values": [1.0, float("-inf")]},
+            {"nested": {"scale": float("nan")}},
+        ],
+    )
+    def test_pattern_params_must_be_finite(self, params):
+        with pytest.raises(ExperimentError, match="must be finite"):
+            ExperimentConfig(pattern_params=params)
+
+    def test_pattern_params_must_be_a_mapping(self):
+        with pytest.raises(ExperimentError, match="pattern_params"):
+            ExperimentConfig(pattern_params="std=1")
+
     def test_with_overrides_does_not_mutate(self):
         base = ExperimentConfig()
         other = base.with_overrides(dtype="fp32")

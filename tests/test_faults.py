@@ -81,6 +81,9 @@ class _StrCache(JsonDiskCache):
     def _check_value(self, value):
         pass
 
+    def _copy(self, value):
+        return value  # strings are immutable
+
     def _serialize(self, value):
         return {"value": value}
 

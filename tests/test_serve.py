@@ -488,6 +488,22 @@ class TestEstimationServer:
 
         run_with_server(scenario)
 
+    def test_ill_typed_numbers_are_400(self):
+        cases = [
+            ({"matrix_size": 16.5}, "matrix_size"),
+            ({"seeds": True}, "seeds"),
+            ({"iterations": 2.5}, "iterations"),
+            ({"warmup_trim_s": float("inf")}, "warmup_trim_s"),
+            ({"pattern_family": "gaussian", "pattern_params": {"std": float("nan")}}, "std"),
+        ]
+
+        async def scenario(base, server):
+            for document, field in cases:
+                status, payload = await _client(_http_post, base, "/estimate", document)
+                assert status == 400 and field in payload["error"], document
+
+        run_with_server(scenario)
+
     def test_estimate_and_stats_roundtrip(self, quiet_config):
         service = nocache_service(CountingCompute())
         # The wire document carries the estimator/telemetry knobs as nested
